@@ -18,6 +18,7 @@
      dune exec bench/main.exe -- cg      -- solve-engine speedup study
      dune exec bench/main.exe -- mg      -- multigrid preconditioner study
      dune exec bench/main.exe -- fft     -- FFT blur screening-tier study
+     dune exec bench/main.exe -- sim     -- activity-simulation layer
 
    `--jobs N` anywhere on the line sizes the domain pool. `--trials N`
    runs each selected suite N times and replaces every wall-clock
@@ -1602,6 +1603,51 @@ let run_serve () =
            ("retry_recovers", j_b retry_recovers);
            ("no_retry_fails", j_b no_retry_fails) ]) ]
 
+(* --- SIM (activity layer) ---------------------------------------------------------- *)
+
+(* The flow's activity measurement in isolation: test set 1's netlist and
+   workload, 64 warm-up + [sim_cycles] recorded cycles, as Flow.prepare
+   runs it. [cycles] and the allocation counts are machine-independent;
+   [step_allocation_free] pins the compiled tape's zero-allocation cycle
+   (stimulus drawing is excluded: the RNG boxes its state). *)
+let run_sim () =
+  header "SIM -- switching-activity simulation (compiled gate tape)"
+    "fig. 2 flow: VCS activity feeding the power model";
+  let warmup = 64 in
+  let nl = (Netgen.Benchmark.nine_unit ()).Netgen.Benchmark.netlist in
+  let workload =
+    Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ]
+  in
+  let words0 = Gc.minor_words () in
+  let (sim, report), activity_s =
+    time (fun () ->
+        let sim = Logicsim.Sim.create nl in
+        (sim, Logicsim.Activity.measure sim workload
+                (Geo.Rng.split (Geo.Rng.create 42)) ~warmup ~cycles:sim_cycles))
+  in
+  let words = Gc.minor_words () -. words0 in
+  let cycles = warmup + report.Logicsim.Activity.measured_cycles in
+  let step_words0 = Gc.minor_words () in
+  for _ = 1 to sim_cycles do Logicsim.Sim.step sim done;
+  let step_words = Gc.minor_words () -. step_words0 in
+  let per_cycle w = w /. float_of_int cycles in
+  let cells = Netlist.Types.num_cells nl in
+  let ns_per_gate =
+    activity_s *. 1e9 /. float_of_int (cells * cycles)
+  in
+  Printf.printf "%d cells, %d cycles: %.1f ms (%.2f ns per gate evaluation)\n"
+    cells cycles (activity_s *. 1e3) ns_per_gate;
+  Printf.printf "minor words per cycle: %.1f with stimulus, %.3f per bare step\n"
+    (per_cycle words) (step_words /. float_of_int sim_cycles);
+  j_obj
+    [ ("cells", j_i cells);
+      ("cycles", j_i cycles);
+      ("activity_ms", j_f (activity_s *. 1e3));
+      ("ns_per_gate_eval", j_f ns_per_gate);
+      ("minor_words_per_cycle", j_f (per_cycle words));
+      ("mean_toggle_rate", j_f (Logicsim.Activity.mean_toggle_rate report));
+      ("step_allocation_free", j_b (step_words < float_of_int sim_cycles)) ]
+
 (* --- dispatch ---------------------------------------------------------------------- *)
 
 let experiments =
@@ -1750,12 +1796,13 @@ let () =
   | [ "fft" ] -> run_and_emit ("fft", run_fft)
   | [ "adjoint" ] -> run_and_emit ("adjoint", run_adjoint)
   | [ "serve" ] -> run_and_emit ("serve", run_serve)
+  | [ "sim" ] -> run_and_emit ("sim", run_sim)
   | [ name ] when List.mem_assoc name experiments ->
     run_and_emit (name, List.assoc name experiments)
   | other ->
     Printf.eprintf
       "unknown experiment %s; expected one of all, perf, cg, mg, fft, \
-       adjoint, serve, %s\n"
+       adjoint, serve, sim, %s\n"
       (String.concat " " other)
       (String.concat ", " (List.map fst experiments));
     exit 2

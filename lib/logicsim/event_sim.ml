@@ -2,9 +2,10 @@ module T = Netlist.Types
 
 type t = {
   nl : T.t;
+  tape : Tape.t;
   values : bool array;            (* per net *)
   staged_inputs : bool array;     (* per primary input *)
-  dff_state : bool array;         (* per cell *)
+  dff_state : bool array;         (* per flip-flop, aligned with tape.dff_q *)
   toggle_count : int array;       (* per net, glitches included *)
   ones_count : int array;
   mutable n_cycles : int;
@@ -16,23 +17,13 @@ type t = {
 }
 
 let create nl =
-  let values = Array.make (T.num_nets nl) false in
-  T.iter_nets nl ~f:(fun nid n ->
-      match n.T.driver with
-      | T.Constant v -> values.(nid) <- v
-      | T.Primary_input _ | T.Cell_output _ -> ());
-  (* settle the combinational logic once so the initial state is
-     consistent (cells in id order are topological, see Sim): transitions
-     during this pseudo-reset are not counted *)
-  T.iter_cells nl ~f:(fun _ c ->
-      if not (Celllib.Kind.is_sequential c.T.kind) then
-        values.(c.T.output)
-        <- Celllib.Kind.eval c.T.kind
-             (Array.map (fun n -> values.(n)) c.T.inputs));
+  let tape = Tape.compile nl in
+  let values = Tape.settled_values tape nl in
   { nl;
+    tape;
     values;
     staged_inputs = Array.make (T.num_primary_inputs nl) false;
-    dff_state = Array.make (T.num_cells nl) false;
+    dff_state = Array.make (Array.length tape.Tape.dff_q) false;
     toggle_count = Array.make (T.num_nets nl) 0;
     ones_count = Array.make (T.num_nets nl) 0;
     n_cycles = 0;
@@ -68,6 +59,7 @@ let apply_change t nid v =
    in the next wave (unit gate delay). *)
 let propagate_wave t changed =
   let nl = t.nl in
+  let tape = t.tape in
   let next = ref [] in
   t.wave_id <- t.wave_id + 1;
   List.iter
@@ -77,14 +69,11 @@ let propagate_wave t changed =
             if t.cell_seen.(cid) <> t.wave_id then begin
               t.cell_seen.(cid) <- t.wave_id;
               t.n_events <- t.n_events + 1;
-              let c = T.cell nl cid in
-              if not (Celllib.Kind.is_sequential c.T.kind) then begin
-                let ins =
-                  Array.map (fun n -> t.values.(n)) c.T.inputs
-                in
-                let v = Celllib.Kind.eval c.T.kind ins in
-                if v <> t.values.(c.T.output) then
-                  next := (c.T.output, v) :: !next
+              let s = tape.Tape.slot.(cid) in
+              if s >= 0 then begin
+                let v = Tape.eval tape t.values s in
+                let out = tape.Tape.out.(s) in
+                if v <> t.values.(out) then next := (out, v) :: !next
               end
             end)
          (T.net nl nid).T.sinks)
@@ -97,17 +86,18 @@ let propagate_wave t changed =
 
 let step t =
   let nl = t.nl in
+  let tape = t.tape in
   (* wave 0: flip-flop outputs and primary inputs release their new values *)
   let wave0 = ref [] in
-  T.iter_cells nl ~f:(fun cid c ->
-      if Celllib.Kind.is_sequential c.T.kind then
-        if apply_change t c.T.output t.dff_state.(cid) then
-          wave0 := c.T.output :: !wave0);
+  Array.iteri
+    (fun k nid ->
+       if apply_change t nid t.dff_state.(k) then wave0 := nid :: !wave0)
+    tape.Tape.dff_q;
   Array.iteri
     (fun k nid ->
        if apply_change t nid t.staged_inputs.(k) then
          wave0 := nid :: !wave0)
-    nl.T.primary_inputs;
+    tape.Tape.pi;
   let waves = ref 0 in
   let changed = ref !wave0 in
   let cap = T.num_cells nl + 2 in
@@ -118,9 +108,9 @@ let step t =
   done;
   t.settle_waves <- !waves;
   (* capture *)
-  T.iter_cells nl ~f:(fun cid c ->
-      if Celllib.Kind.is_sequential c.T.kind then
-        t.dff_state.(cid) <- t.values.(c.T.inputs.(0)));
+  Array.iteri
+    (fun k nid -> t.dff_state.(k) <- t.values.(nid))
+    tape.Tape.dff_d;
   Array.iteri
     (fun nid v -> if v then t.ones_count.(nid) <- t.ones_count.(nid) + 1)
     t.values;
@@ -132,15 +122,9 @@ let measure t workload rng ~warmup ~cycles =
   if cycles <= 0 then invalid_arg "Event_sim.measure: cycles <= 0";
   Obs.Trace.with_span "sim.event.measure" @@ fun () ->
   let nl = t.nl in
-  let tags = nl.T.pi_tags in
-  let drive () =
-    Array.iteri
-      (fun k _nid ->
-         let p = Workload.activity workload ~tag:tags.(k) in
-         if Geo.Rng.bernoulli rng p then
-           set_input t k (not (input_value t k)))
-      nl.T.primary_inputs
-  in
+  let probs = Workload.input_probs workload nl in
+  let flip k = set_input t k (not (input_value t k)) in
+  let drive () = Workload.draw_flips probs rng ~flip in
   for _ = 1 to warmup do
     drive ();
     step t

@@ -1,74 +1,48 @@
 module T = Netlist.Types
 
-type t = {
-  nl : T.t;
-  order : T.cell_id array;      (* combinational cells, topological *)
-  values : bool array;          (* per net *)
-  staged_inputs : bool array;   (* per primary input *)
-  dff_state : bool array;       (* per cell; meaningful for DFFs only *)
-  toggle_count : int array;     (* per net *)
-  ones_count : int array;       (* per net *)
+(* Per-net counters. The ones counter is kept lazily: a net at 1 is
+   sampled at the end of every cycle from [since] on, so a fall during
+   cycle [n_cycles] closes the interval [since, n_cycles) into
+   [ones_closed] and {!ones} adds the open one. *)
+type counters = {
+  toggle_count : int array;
+  ones_closed : int array;
+  since : int array;            (* meaningful while the net is at 1 *)
   mutable n_cycles : int;
 }
 
-(* Topological order of combinational cells (flip-flop outputs and primary
-   inputs are sources). The netlist builder already guarantees acyclicity. *)
-let topo_order (nl : T.t) =
-  let n = T.num_cells nl in
-  let comb_driver = Array.make (T.num_nets nl) (-1) in
-  T.iter_cells nl ~f:(fun cid c ->
-      if not (Celllib.Kind.is_sequential c.T.kind) then
-        comb_driver.(c.T.output) <- cid);
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
-  T.iter_cells nl ~f:(fun cid c ->
-      Array.iter
-        (fun nid ->
-           let src = comb_driver.(nid) in
-           if src >= 0 then begin
-             succs.(src) <- cid :: succs.(src);
-             indeg.(cid) <- indeg.(cid) + 1
-           end)
-        c.T.inputs);
-  let queue = Queue.create () in
-  Array.iteri (fun cid d -> if d = 0 then Queue.add cid queue) indeg;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let cid = Queue.pop queue in
-    if not (Celllib.Kind.is_sequential (T.cell nl cid).T.kind) then
-      order := cid :: !order;
-    List.iter
-      (fun s ->
-         indeg.(s) <- indeg.(s) - 1;
-         if indeg.(s) = 0 then Queue.add s queue)
-      succs.(cid)
-  done;
-  Array.of_list (List.rev !order)
+type t = {
+  nl : T.t;
+  tape : Tape.t;
+  values : bool array;          (* per net *)
+  staged_inputs : bool array;   (* per primary input *)
+  dff_state : bool array;       (* per flip-flop, aligned with tape.dff_q *)
+  counters : counters;
+  on_change : int -> bool -> unit;  (* [record counters], built once *)
+}
+
+let record c nid v =
+  c.toggle_count.(nid) <- c.toggle_count.(nid) + 1;
+  if v then c.since.(nid) <- c.n_cycles
+  else c.ones_closed.(nid) <- c.ones_closed.(nid) + c.n_cycles - c.since.(nid)
 
 let create nl =
-  let values = Array.make (T.num_nets nl) false in
-  T.iter_nets nl ~f:(fun nid n ->
-      match n.T.driver with
-      | T.Constant v -> values.(nid) <- v
-      | T.Primary_input _ | T.Cell_output _ -> ());
-  let order = topo_order nl in
-  (* settle combinational logic so cycle 1 does not count pseudo-reset
-     transitions *)
-  Array.iter
-    (fun cid ->
-       let c = T.cell nl cid in
-       values.(c.T.output)
-       <- Celllib.Kind.eval c.T.kind
-            (Array.map (fun nid -> values.(nid)) c.T.inputs))
-    order;
+  let tape = Tape.compile nl in
+  let values = Tape.settled_values tape nl in
+  let n = T.num_nets nl in
+  let counters =
+    { toggle_count = Array.make n 0;
+      ones_closed = Array.make n 0;
+      since = Array.make n 0;
+      n_cycles = 0 }
+  in
   { nl;
-    order;
+    tape;
     values;
     staged_inputs = Array.make (T.num_primary_inputs nl) false;
-    dff_state = Array.make (T.num_cells nl) false;
-    toggle_count = Array.make (T.num_nets nl) 0;
-    ones_count = Array.make (T.num_nets nl) 0;
-    n_cycles = 0 }
+    dff_state = Array.make (Array.length tape.Tape.dff_q) false;
+    counters;
+    on_change = record counters }
 
 let netlist t = t.nl
 
@@ -78,42 +52,41 @@ let input_value t k = t.staged_inputs.(k)
 let update t nid v =
   if t.values.(nid) <> v then begin
     t.values.(nid) <- v;
-    t.toggle_count.(nid) <- t.toggle_count.(nid) + 1
+    record t.counters nid v
   end
 
 let step t =
-  let nl = t.nl in
+  let tape = t.tape in
   (* 1. flip-flop Q nets present the state captured last cycle *)
-  T.iter_cells nl ~f:(fun cid c ->
-      if Celllib.Kind.is_sequential c.T.kind then
-        update t c.T.output t.dff_state.(cid));
+  let dff_q = tape.Tape.dff_q in
+  for k = 0 to Array.length dff_q - 1 do
+    update t dff_q.(k) t.dff_state.(k)
+  done;
   (* 2. primary inputs take their staged values *)
-  Array.iteri
-    (fun k nid -> update t nid t.staged_inputs.(k))
-    nl.T.primary_inputs;
+  let pi = tape.Tape.pi in
+  for k = 0 to Array.length pi - 1 do
+    update t pi.(k) t.staged_inputs.(k)
+  done;
   (* 3. combinational propagation in topological order *)
-  Array.iter
-    (fun cid ->
-       let c = T.cell nl cid in
-       let inputs = Array.map (fun nid -> t.values.(nid)) c.T.inputs in
-       update t c.T.output (Celllib.Kind.eval c.T.kind inputs))
-    t.order;
+  Tape.propagate tape t.values ~changed:t.on_change;
   (* 4. flip-flops capture D *)
-  T.iter_cells nl ~f:(fun cid c ->
-      if Celllib.Kind.is_sequential c.T.kind then
-        t.dff_state.(cid) <- t.values.(c.T.inputs.(0)));
-  (* 5. sample static probabilities *)
-  Array.iteri
-    (fun nid v -> if v then t.ones_count.(nid) <- t.ones_count.(nid) + 1)
-    t.values;
-  t.n_cycles <- t.n_cycles + 1
+  let dff_d = tape.Tape.dff_d in
+  for k = 0 to Array.length dff_d - 1 do
+    t.dff_state.(k) <- t.values.(dff_d.(k))
+  done;
+  t.counters.n_cycles <- t.counters.n_cycles + 1
 
-let cycles t = t.n_cycles
+let cycles t = t.counters.n_cycles
 let value t nid = t.values.(nid)
-let toggles t nid = t.toggle_count.(nid)
-let ones t nid = t.ones_count.(nid)
+let toggles t nid = t.counters.toggle_count.(nid)
+
+let ones t nid =
+  let c = t.counters in
+  c.ones_closed.(nid) + if t.values.(nid) then c.n_cycles - c.since.(nid) else 0
 
 let reset_counters t =
-  Array.fill t.toggle_count 0 (Array.length t.toggle_count) 0;
-  Array.fill t.ones_count 0 (Array.length t.ones_count) 0;
-  t.n_cycles <- 0
+  let c = t.counters in
+  Array.fill c.toggle_count 0 (Array.length c.toggle_count) 0;
+  Array.fill c.ones_closed 0 (Array.length c.ones_closed) 0;
+  Array.fill c.since 0 (Array.length c.since) 0;
+  c.n_cycles <- 0

@@ -26,18 +26,19 @@ let activity t ~tag =
   | Some p -> p
   | None -> t.default
 
-let drive t sim rng =
-  let nl = Sim.netlist sim in
-  let tags = nl.Netlist.Types.pi_tags in
-  Array.iteri
-    (fun k _nid ->
-       let p = activity t ~tag:tags.(k) in
-       if Geo.Rng.bernoulli rng p then
-         Sim.set_input sim k (not (Sim.input_value sim k)))
-    nl.Netlist.Types.primary_inputs
+let input_probs t (nl : Netlist.Types.t) =
+  Array.init (Netlist.Types.num_primary_inputs nl) (fun k ->
+      activity t ~tag:nl.Netlist.Types.pi_tags.(k))
+
+let draw_flips probs rng ~flip =
+  for k = 0 to Array.length probs - 1 do
+    if Geo.Rng.bernoulli rng probs.(k) then flip k
+  done
 
 let run t sim rng ~cycles =
+  let probs = input_probs t (Sim.netlist sim) in
+  let flip k = Sim.set_input sim k (not (Sim.input_value sim k)) in
   for _ = 1 to cycles do
-    drive t sim rng;
+    draw_flips probs rng ~flip;
     Sim.step sim
   done

@@ -24,9 +24,15 @@ val concentrated_hotspot : hot_unit:int -> t
 val activity : t -> tag:int -> float
 (** Toggle probability for a unit tag (untagged inputs use the default). *)
 
-val drive : t -> Sim.t -> Geo.Rng.t -> unit
-(** Stage one cycle of stimuli: every primary input flips with its unit's
-    probability. *)
+val input_probs : t -> Netlist.Types.t -> float array
+(** Toggle probability of every primary input, resolved once from its unit
+    tag (aligned with [primary_inputs]). *)
+
+val draw_flips : float array -> Geo.Rng.t -> flip:(int -> unit) -> unit
+(** One cycle of stimulus: one Bernoulli draw per input, in input order,
+    calling [flip k] for every input [k] whose draw fires. Both simulators
+    drive through this, so they consume the random stream identically. *)
 
 val run : t -> Sim.t -> Geo.Rng.t -> cycles:int -> unit
-(** [drive] + [Sim.step], [cycles] times. *)
+(** [cycles] times: stage one cycle of stimuli (every primary input flips
+    with its unit's probability, see {!draw_flips}), then [Sim.step]. *)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full repository gate: build everything, run the test suites and the
 # quickstart example, smoke-run the solver-engine, multigrid,
-# fft-screening and adjoint-sensitivity benches (cache + warm-start +
-# preconditioner + pool + blur tier + gradient guide) and gate them
+# fft-screening, adjoint-sensitivity, batch-serve and activity-simulation
+# benches (cache + warm-start + preconditioner + pool + blur tier +
+# gradient guide + compiled gate tape) and gate them
 # against the committed bench/baselines via bench_diff (wall-clock
 # regressions and invariant flips fail the run),
 # smoke the CLI with --report, --perfetto and --prom, validate the JSON
@@ -61,8 +62,14 @@ dune exec bin/json_check.exe -- \
   BENCH_serve.json experiment summary summary.batching \
   summary.fault_isolation summary.retry
 
+echo "== activity simulation bench smoke (5 trials)"
+dune exec bench/main.exe -- --jobs 2 --trials 5 sim >/dev/null
+dune exec bin/json_check.exe -- \
+  BENCH_sim.json experiment trials summary summary.activity_ms \
+  summary.cycles summary.minor_words_per_cycle
+
 # Each bench run appended one ledger record.
-dune exec bin/json_check.exe -- --jsonl "$ledger" 5
+dune exec bin/json_check.exe -- --jsonl "$ledger" 6
 
 echo "== bench regression gate (bench_diff vs committed baselines)"
 # A generous threshold absorbs machine-to-machine noise on top of the
@@ -80,6 +87,8 @@ dune exec bin/bench_diff.exe -- --threshold 0.60 \
   bench/baselines/adjoint.json BENCH_adjoint.json >/dev/null
 dune exec bin/bench_diff.exe -- --threshold 0.60 \
   bench/baselines/serve.json BENCH_serve.json >/dev/null
+dune exec bin/bench_diff.exe -- --threshold 0.60 \
+  bench/baselines/sim.json BENCH_sim.json >/dev/null
 # Sanity of the gate itself: clean against itself, trips on a simulated
 # +100% slowdown (medians compared, so this holds for statistics
 # baselines exactly as it did for legacy scalars).
@@ -282,11 +291,11 @@ dune exec bin/thermoplace.exe -- \
   sweep --test-set small --cycles 200 --checkpoint "$ckpt" >/dev/null
 
 echo "== run ledger + history smoke"
-# Every run above — 5 benches, 8 thermoplace runs (2 of them
+# Every run above — 6 benches, 8 thermoplace runs (2 of them
 # fault-injected failures) and the 2 sweeps — appended exactly one
 # record to the scratch ledger (the serve smokes wrote to their own
 # explicit --ledger files, which beat THERMOPLACE_LEDGER).
-dune exec bin/json_check.exe -- --jsonl "$ledger" 15
+dune exec bin/json_check.exe -- --jsonl "$ledger" 16
 # Two optimize runs differing only in preconditioner, into a fresh
 # ledger (the explicit --ledger flag beats THERMOPLACE_LEDGER), so
 # history diff sees exactly the config delta.
