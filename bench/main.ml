@@ -61,16 +61,6 @@ let hist_percentiles name =
         ("p90", j_f (Obs.Metrics.percentile h 0.90));
         ("p99", j_f (Obs.Metrics.percentile h 0.99)) ]
 
-let point_json (p : Postplace.Experiment.point) =
-  j_obj
-    [ ("scheme", j_s p.Postplace.Experiment.scheme);
-      ("area_overhead_pct", j_f p.area_overhead_pct);
-      ("temp_reduction_pct", j_f p.temp_reduction_pct);
-      ("gradient_reduction_pct", j_f p.gradient_reduction_pct);
-      ("peak_rise_k", j_f p.peak_rise_k);
-      ("timing_overhead_pct", j_f p.timing_overhead_pct);
-      ("hpwl_um", j_f p.hpwl_um) ]
-
 (* --- FIG 5 ------------------------------------------------------------- *)
 
 let run_fig5 () =
@@ -151,7 +141,7 @@ let run_fig6 () =
   j_obj
     [ ("base_thermal", Thermal.Metrics.to_json base.Postplace.Flow.metrics);
       ("hotspots", j_i (List.length base.Postplace.Flow.hotspots));
-      ("points", j_list (List.map point_json points));
+      ("points", j_list (List.map Postplace.Experiment.point_to_json points));
       ("checks",
        j_obj
          [ ("eri_above_default", j_b eri_above);
@@ -716,7 +706,7 @@ let run_cg () =
   Parallel.Pool.set_jobs 1;
   let cold, t_cold = time (fun () -> Thermal.Mesh.solve problem) in
   let ssor, t_ssor =
-    time (fun () -> Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.2) problem)
+    time (fun () -> Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor Thermal.Cg.ssor_omega) problem)
   in
   let warm, t_warm =
     time (fun () -> Thermal.Mesh.solve ~x0:cold.Thermal.Mesh.temp problem)
@@ -843,7 +833,7 @@ let run_mg () =
          let jac, t_jac = time (fun () -> Thermal.Mesh.solve problem) in
          let ssor, t_ssor =
            time (fun () ->
-               Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.2) problem)
+               Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor Thermal.Cg.ssor_omega) problem)
          in
          let hier, t_build =
            time (fun () -> Thermal.Mesh.multigrid problem)
@@ -1664,12 +1654,6 @@ let is_time_key k =
   let n = String.length k in
   n >= 3 && String.sub k (n - 3) 3 = "_ms"
 
-(* Nearest-rank quantile of a sorted array. *)
-let quantile a q =
-  let n = Array.length a in
-  let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-  a.(max 0 (min (n - 1) (rank - 1)))
-
 (* Merge N structurally-identical trial summaries: "_ms" leaves become
    {median, min, max, iqr, trials} statistics objects, booleans are
    ANDed (one flaky false must still trip the gate), everything else
@@ -1684,11 +1668,12 @@ let rec merge_trials key vals =
       let a = Array.of_list (List.map Option.get floats) in
       Array.sort compare a;
       let n = Array.length a in
+      let quantile = Obs.Metrics.nearest_rank a in
       j_obj
-        [ ("median", j_f (quantile a 0.50));
+        [ ("median", j_f (quantile 0.50));
           ("min", j_f a.(0));
           ("max", j_f a.(n - 1));
-          ("iqr", j_f (quantile a 0.75 -. quantile a 0.25));
+          ("iqr", j_f (quantile 0.75 -. quantile 0.25));
           ("trials", j_i n) ]
     end
     else
@@ -1726,44 +1711,34 @@ let trials = ref 1
    diff runs without scraping stdout; appends one ledger record per
    suite so the perf trajectory accumulates across invocations. *)
 let run_and_emit (name, f) =
-  let t0 = Unix.gettimeofday () in
-  let summaries = List.init !trials (fun _ -> f ()) in
-  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  let summary =
-    match summaries with
-    | [ one ] -> one
-    | many -> merge_trials "summary" many
-  in
-  let path = Printf.sprintf "BENCH_%s.json" name in
-  let json =
-    Obs.Json.Obj
-      [ ("experiment", j_s name); ("trials", j_i !trials);
-        ("summary", summary) ]
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[wrote %s]\n" path;
-  match Obs.Ledger.resolve_path () with
-  | None -> ()
-  | Some ledger ->
-    let record =
-      Obs.Ledger.make_record
-        ~command:("bench:" ^ name)
-        ~fingerprint:
-          (Printf.sprintf "bench=%s|trials=%d|jobs=%d" name !trials
-             (Parallel.Pool.jobs ()))
-        ~config:
-          [ ("experiment", j_s name); ("trials", j_i !trials);
-            ("jobs", j_i (Parallel.Pool.jobs ())) ]
-        ~phases_ms:[ ("bench_ms", elapsed_ms); ("total_ms", elapsed_ms) ]
-        ~metrics:(Obs.Metrics.summary_json ()) ~outcome:"ok" ~exit_code:0 ()
+  let jobs = Parallel.Pool.jobs () in
+  let status =
+    Postplace.Run.run ~prog:"bench" ~command:("bench:" ^ name)
+      ~obs:Postplace.Run.no_obs
+      ~config:
+        [ ("experiment", j_s name); ("trials", j_i !trials);
+          ("jobs", j_i jobs) ]
+    @@ fun () ->
+    Postplace.Run.set_fingerprint
+      (Printf.sprintf "bench=%s|trials=%d|jobs=%d" name !trials jobs);
+    let summaries =
+      Postplace.Run.phase "bench" @@ fun () ->
+      List.init !trials (fun _ -> f ())
     in
-    (try Obs.Ledger.append ~path:ledger record
-     with e ->
-       Printf.eprintf "bench: cannot append to ledger %s: %s\n" ledger
-         (Printexc.to_string e))
+    let summary =
+      match summaries with
+      | [ one ] -> one
+      | many -> merge_trials "summary" many
+    in
+    let path = Printf.sprintf "BENCH_%s.json" name in
+    Obs.Report.write_file path
+      (j_obj
+         [ ("experiment", j_s name); ("trials", j_i !trials);
+           ("summary", summary) ]);
+    Printf.printf "[wrote %s]\n" path;
+    (0, [])
+  in
+  if status <> 0 then exit status
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

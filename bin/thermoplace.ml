@@ -12,11 +12,16 @@
 
      thermoplace history  -- list / show / diff / trend over the run ledger
 
-   Every subcommand accepts --trace (span tree to stderr), --report FILE
-   (machine-readable JSON run report), --perfetto FILE (Chrome
-   trace-event JSON of the merged cross-domain span forest, loadable in
-   Perfetto / chrome://tracing) and --prom FILE (Prometheus text
-   exposition of the metrics registry). Every run also appends one
+   Every subcommand but history takes the same observability options (the
+   [obs] term) and every design subcommand the same design options (the
+   [design] term); Postplace.Run carries each run: exports, ledger record
+   and exit status.
+
+   --trace prints the span tree to stderr, --report FILE writes a
+   machine-readable JSON run report, --perfetto FILE the merged
+   cross-domain span forest as Chrome trace-event JSON (loadable in
+   Perfetto / chrome://tracing) and --prom FILE a Prometheus text
+   exposition of the metrics registry. Every run also appends one
    record to the JSONL run ledger (config fingerprint, per-phase
    timings, CG iteration totals, peak temperature, plan hash, metrics
    summary, outcome) — --ledger FILE / THERMOPLACE_LEDGER override the
@@ -29,99 +34,8 @@
    THERMOPLACE_FAULTS arms fault injection. *)
 
 open Cmdliner
-
-(* --- run ledger context ---------------------------------------------------
-
-   Process-global because a thermoplace invocation is exactly one run:
-   the subcommand fills it in as the run unfolds (fingerprint once the
-   flow exists, phases as they complete, peak/plan hash once known) and
-   the structured-error boundary flushes one ledger record on every
-   exit path — success, invariant failure, or solver breakdown. *)
-
-module Run = struct
-  let command = ref ""
-  let ledger_path : string option ref = ref None
-  let fingerprint = ref ""
-  let config : (string * Obs.Json.t) list ref = ref []
-  let phases : (string * float) list ref = ref []
-  let peak_rise_k : float option ref = ref None
-  let plan_hash : string option ref = ref None
-  let t0 = ref 0.0
-  let recorded = ref false
-
-  let begin_ ~command:c ~ledger ~config:cfg =
-    command := c;
-    ledger_path := Obs.Ledger.resolve_path ?path:ledger ();
-    fingerprint := "";
-    config := cfg;
-    phases := [];
-    peak_rise_k := None;
-    plan_hash := None;
-    t0 := Unix.gettimeofday ();
-    recorded := false
-
-  let phase name f =
-    let s = Unix.gettimeofday () in
-    let r = f () in
-    phases := !phases @ [ (name ^ "_ms", (Unix.gettimeofday () -. s) *. 1e3) ];
-    r
-
-  let set_fingerprint fp = fingerprint := fp
-  let set_peak k = peak_rise_k := Some k
-
-  (* Committed-plan identity: the MD5 of the canonical plan rendering,
-     so "did these two configs commit the same plan?" is one string
-     comparison in [history diff]. *)
-  let set_plan inserted_after =
-    plan_hash :=
-      Some
-        (Digest.to_hex
-           (Digest.string
-              (String.concat "," (List.map string_of_int inserted_after))))
-
-  let record ?error ~outcome ~exit_code () =
-    match !ledger_path with
-    | None -> ()
-    | Some _ when !recorded -> ()
-    | Some path ->
-      recorded := true;
-      let cg_iterations =
-        Option.map
-          (fun h -> int_of_float h.Obs.Metrics.sum)
-          (Obs.Metrics.histogram "thermal.cg.iterations")
-      in
-      let phases_ms =
-        !phases
-        @ [ ("total_ms", (Unix.gettimeofday () -. !t0) *. 1e3) ]
-      in
-      let record =
-        Obs.Ledger.make_record ~command:!command ~fingerprint:!fingerprint
-          ~config:!config ~phases_ms ?cg_iterations
-          ?peak_rise_k:!peak_rise_k ?plan_hash:!plan_hash
-          ~metrics:(Obs.Metrics.summary_json ()) ?error ~outcome ~exit_code
-          ()
-      in
-      (try Obs.Ledger.append ~path record
-       with e ->
-         Printf.eprintf "thermoplace: cannot append to ledger %s: %s\n" path
-           (Printexc.to_string e))
-end
-
-(* Catch structured errors at the subcommand boundary and turn them into
-   a one-line stderr message plus the class's stable exit code; flush
-   the ledger record on both paths. *)
-let with_structured_errors run =
-  match run () with
-  | status ->
-    Run.record ~outcome:(if status = 0 then "ok" else "error")
-      ~exit_code:status ();
-    status
-  | exception Robust.Error.Error e ->
-    Printf.eprintf "thermoplace: %s\n" (Robust.Error.to_string e);
-    let code = Robust.Error.exit_code e in
-    Run.record ~error:(Robust.Error.to_string e) ~outcome:"error"
-      ~exit_code:code ();
-    code
+module Flow = Postplace.Flow
+module Run = Postplace.Run
 
 (* --- validated option converters ----------------------------------------- *)
 
@@ -156,104 +70,124 @@ let float_range ?min_exclusive ?max_inclusive ~min name =
   in
   Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
 
-(* --- shared options ------------------------------------------------------ *)
+(* --- observability options ----------------------------------------------- *)
 
-let seed =
-  let doc = "Random seed for vectors and placement." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let cycles =
-  let doc = "Measured simulation cycles for switching activity (>= 1)." in
-  Arg.(value & opt (int_min ~min:1 "--cycles") 1000
-       & info [ "cycles" ] ~docv:"N" ~doc)
-
-let utilization =
-  let doc = "Base placement row-utilization factor, in (0, 1]." in
-  Arg.(value
-       & opt (float_range ~min:0.0 ~min_exclusive:0.0 ~max_inclusive:1.0
-                "--utilization")
-           0.85
-       & info [ "utilization"; "u" ] ~docv:"U" ~doc)
-
-let test_set =
-  let doc =
-    "Benchmark workload: $(b,scattered) (test set 1, four scattered \
-     hotspots), $(b,concentrated) (test set 2, one large hotspot), or \
-     $(b,small) (tiny 3-unit smoke benchmark)."
+let obs =
+  let trace =
+    let doc = "Print the wall-clock span tree of the run to stderr." in
+    Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let sets =
-    [ ("scattered", "scattered"); ("concentrated", "concentrated");
-      ("small", "small") ]
+  let report =
+    let doc =
+      "Write a machine-readable JSON run report (config, span tree, metrics, \
+       warnings, results) to $(docv)."
+    in
+    Arg.(value & opt (some string) None
+         & info [ "report" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt (enum sets) "scattered"
-       & info [ "test-set"; "t" ] ~docv:"SET" ~doc)
-
-let precond_arg =
-  let doc =
-    "CG preconditioner for the thermal solves: $(b,auto) (per-stage \
-     defaults), $(b,jacobi), $(b,ssor) (omega 1.2), or $(b,mg) (geometric \
-     multigrid V-cycle — fastest at high mesh resolution). All choices \
-     produce the same temperatures to solver tolerance."
+  let perfetto =
+    let doc =
+      "Write the run's span forest as Chrome trace-event JSON to $(docv). \
+       Spans from every domain appear as separate tracks (tid = domain id); \
+       open the file in ui.perfetto.dev or chrome://tracing. Implies span \
+       recording, like $(b,--trace)."
+    in
+    Arg.(value & opt (some string) None
+         & info [ "perfetto" ] ~docv:"FILE" ~doc)
   in
-  let preconds =
-    [ ("auto", "auto"); ("jacobi", "jacobi"); ("ssor", "ssor"); ("mg", "mg") ]
+  let prom =
+    let doc =
+      "Write the final metrics registry in Prometheus text exposition \
+       format to $(docv): labelled counters and gauges directly, histogram \
+       aggregates as companion gauges plus p50/p90/p99 quantile series."
+    in
+    Arg.(value & opt (some string) None & info [ "prom" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt (enum preconds) "auto"
-       & info [ "precond" ] ~docv:"P" ~doc)
-
-let precond_choice = function
-  | "auto" -> None
-  | "jacobi" -> Some Thermal.Mesh.Pc_jacobi
-  | "ssor" -> Some (Thermal.Mesh.Pc_ssor 1.2)
-  | "mg" -> Some Thermal.Mesh.Pc_mg
-  | _ -> assert false (* the enum converter rejects everything else *)
-
-let screen_arg =
-  let doc =
-    "Optimizer candidate-screening tier: $(b,auto) (fft unless a fault is \
-     armed), $(b,fft) (rank candidates with the O(n log n) Green's-function \
-     power blurring, re-score only the leaders with MG-CG), or $(b,exact) \
-     (full solve for every candidate). The emitted plan is bit-identical \
-     across tiers whenever the blur leader set contains the exact winner."
+  let ledger =
+    let doc =
+      "Append this run's record to the JSONL ledger at $(docv) instead of \
+       the default (thermoplace.ledger.jsonl, or the THERMOPLACE_LEDGER \
+       environment variable). $(b,none) disables the ledger."
+    in
+    Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
   in
-  let screens = [ ("auto", "auto"); ("fft", "fft"); ("exact", "exact") ] in
-  Arg.(value & opt (enum screens) "auto"
-       & info [ "screen" ] ~docv:"S" ~doc)
+  Term.(const (fun trace report perfetto prom ledger ->
+            { Run.trace; report; perfetto; prom; ledger })
+        $ trace $ report $ perfetto $ prom $ ledger)
 
-let screen_choice = function
-  | "auto" -> Postplace.Flow.Screen_auto
-  | "fft" -> Postplace.Flow.Screen_fft
-  | "exact" -> Postplace.Flow.Screen_exact
-  | _ -> assert false (* the enum converter rejects everything else *)
+(* --- design options ------------------------------------------------------ *)
 
-let guide_arg =
-  let doc =
-    "Optimizer candidate-ranking signal: $(b,peak) (evaluate each \
-     candidate's predicted peak temperature — the paper's scheme) or \
-     $(b,gradient) (one adjoint sensitivity solve per round prices every \
-     candidate from the dT_peak/d(power) map; only the committed chunk \
-     is confirmed exactly — far fewer solves at matched quality)."
+(* What a subcommand needs of the design: the ledger/report config echo,
+   and the prepared flow, timed as the "prepare" phase with its
+   fingerprint recorded. *)
+type design = {
+  config : (string * Obs.Json.t) list;
+  prepare :
+    ?screen:Flow.screen_choice -> ?guide:Flow.guide_choice ->
+    ?extra:(string * string) list -> unit -> Flow.t;
+}
+
+let design =
+  let seed =
+    let doc = "Random seed for vectors and placement." in
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let guides = [ ("peak", "peak"); ("gradient", "gradient") ] in
-  Arg.(value & opt (enum guides) "peak" & info [ "guide" ] ~docv:"G" ~doc)
-
-let guide_choice = function
-  | "peak" -> Postplace.Flow.Guide_peak
-  | "gradient" -> Postplace.Flow.Guide_gradient
-  | _ -> assert false (* the enum converter rejects everything else *)
-
-let cache_slots_arg =
-  let doc =
-    "Capacity of the thermal-mesh matrix MRU cache (>= 1; default 8, or \
-     the THERMOPLACE_CACHE_SLOTS environment variable). Each entry also \
-     carries the multigrid hierarchy and the fft screening kernel, so \
-     sweeps over many mesh extents benefit from more slots."
+  let cycles =
+    let doc = "Measured simulation cycles for switching activity (>= 1)." in
+    Arg.(value & opt (int_min ~min:1 "--cycles") 1000
+         & info [ "cycles" ] ~docv:"N" ~doc)
   in
-  Arg.(value & opt (some (int_min ~min:1 "--cache-slots")) None
-       & info [ "cache-slots" ] ~docv:"N" ~doc)
-
-let apply_cache_slots slots =
-  Option.iter Thermal.Mesh.set_cache_capacity slots
+  let utilization =
+    let doc = "Base placement row-utilization factor, in (0, 1]." in
+    Arg.(value
+         & opt (float_range ~min:0.0 ~min_exclusive:0.0 ~max_inclusive:1.0
+                  "--utilization")
+             0.85
+         & info [ "utilization"; "u" ] ~docv:"U" ~doc)
+  in
+  let test_set =
+    let doc =
+      "Benchmark workload: $(b,scattered) (test set 1, four scattered \
+       hotspots), $(b,concentrated) (test set 2, one large hotspot), or \
+       $(b,small) (tiny 3-unit smoke benchmark)."
+    in
+    Arg.(value
+         & opt (enum Postplace.Experiment.test_sets)
+             Postplace.Experiment.Scattered
+         & info [ "test-set"; "t" ] ~docv:"SET" ~doc)
+  in
+  let precond =
+    let doc =
+      "CG preconditioner for the thermal solves: $(b,auto) (per-stage \
+       defaults), $(b,jacobi), $(b,ssor) (omega 1.2), or $(b,mg) (geometric \
+       multigrid V-cycle — fastest at high mesh resolution). All choices \
+       produce the same temperatures to solver tolerance."
+    in
+    Arg.(value & opt (enum Thermal.Mesh.preconds) None
+         & info [ "precond" ] ~docv:"P" ~doc)
+  in
+  let make seed cycles utilization test_set precond =
+    let config =
+      [ ("seed", Obs.Json.Int seed);
+        ("cycles", Obs.Json.Int cycles);
+        ("utilization", Obs.Json.Float utilization);
+        ("test_set",
+         Obs.Json.String (Postplace.Experiment.test_set_name test_set));
+        ("precond", Obs.Json.String (Thermal.Mesh.precond_choice_name precond))
+      ]
+    in
+    let prepare ?screen ?guide ?extra () =
+      let flow =
+        Run.phase "prepare" @@ fun () ->
+        Postplace.Experiment.prepare_test_set ~seed ~utilization
+          ~sim_cycles:cycles ?precond ?screen ?guide test_set
+      in
+      Run.set_fingerprint (Flow.fingerprint ?extra flow);
+      flow
+    in
+    { config; prepare }
+  in
+  Term.(const make $ seed $ cycles $ utilization $ test_set $ precond)
 
 let jobs_arg =
   let doc =
@@ -264,149 +198,32 @@ let jobs_arg =
   Arg.(value & opt (int_min ~min:1 "--jobs") (Parallel.Pool.default_jobs ())
        & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let trace_arg =
-  let doc = "Print the wall-clock span tree of the run to stderr." in
-  Arg.(value & flag & info [ "trace" ] ~doc)
+let peak (ev : Flow.evaluation) = ev.Flow.metrics.Thermal.Metrics.peak_rise_k
 
-let report_arg =
-  let doc =
-    "Write a machine-readable JSON run report (config, span tree, metrics, \
-     warnings, results) to $(docv)."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "report" ] ~docv:"FILE" ~doc)
+(* The base placement's evaluation, timed as the "evaluate" phase. *)
+let evaluate_base flow =
+  Run.phase "evaluate" @@ fun () ->
+  Flow.evaluate flow flow.Flow.base_placement
 
-let perfetto_arg =
-  let doc =
-    "Write the run's span forest as Chrome trace-event JSON to $(docv). \
-     Spans from every domain appear as separate tracks (tid = domain id); \
-     open the file in ui.perfetto.dev or chrome://tracing. Implies span \
-     recording, like $(b,--trace)."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "perfetto" ] ~docv:"FILE" ~doc)
+(* A transformed placement's evaluation, timed as the "evaluate_after"
+   phase, with its area overhead and peak reduction against [base]. *)
+let evaluate_after flow ~(base : Flow.evaluation) pl =
+  let ev = Run.phase "evaluate_after" @@ fun () -> Flow.evaluate flow pl in
+  Run.set_peak (peak ev);
+  ( ev,
+    Postplace.Technique.area_overhead_pct ~base:base.Flow.placement pl,
+    Thermal.Metrics.reduction_pct ~before:base.Flow.metrics
+      ~after:ev.Flow.metrics )
 
-let prom_arg =
-  let doc =
-    "Write the final metrics registry in Prometheus text exposition \
-     format to $(docv): labelled counters and gauges directly, histogram \
-     aggregates as companion gauges plus p50/p90/p99 quantile series."
-  in
-  Arg.(value & opt (some string) None & info [ "prom" ] ~docv:"FILE" ~doc)
-
-let ledger_arg =
-  let doc =
-    "Append this run's record to the JSONL ledger at $(docv) instead of \
-     the default (thermoplace.ledger.jsonl, or the THERMOPLACE_LEDGER \
-     environment variable). $(b,none) disables the ledger."
-  in
-  Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
-
-let prepare ?(screen = "auto") ?(guide = "peak") ~seed ~cycles ~utilization
-    ~test_set ~precond () =
-  let precond = precond_choice precond in
-  let screen = screen_choice screen in
-  let guide = guide_choice guide in
-  match test_set with
-  | "scattered" ->
-    let bench = Netgen.Benchmark.nine_unit () in
-    Postplace.Flow.prepare ~seed ~utilization ~sim_cycles:cycles ?precond
-      ~screen ~guide bench
-      (Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ])
-  | "concentrated" ->
-    let bench = Netgen.Benchmark.nine_unit () in
-    Postplace.Flow.prepare ~seed ~utilization ~sim_cycles:cycles ?precond
-      ~screen ~guide bench (Logicsim.Workload.concentrated_hotspot ~hot_unit:2)
-  | "small" ->
-    let bench = Netgen.Benchmark.small () in
-    Postplace.Flow.prepare ~seed ~utilization ~sim_cycles:cycles ?precond
-      ~screen ~guide bench
-      (Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ])
-  | _ -> assert false (* the enum converter rejects everything else *)
-
-(* --- observability wiring ------------------------------------------------- *)
-
-let obs_begin ~command ~ledger ~config ~trace ~report ~perfetto =
-  if trace || report <> None || perfetto <> None then
-    Obs.Trace.set_enabled true;
-  Obs.Trace.reset ();
-  Obs.Metrics.reset ();
-  Obs.Log.reset ();
-  Thermal.Cg.clear_histories ();
-  Run.begin_ ~command ~ledger ~config
-
-let base_config ~seed ~cycles ~utilization ~test_set ~precond =
-  [ ("seed", Obs.Json.Int seed);
-    ("cycles", Obs.Json.Int cycles);
-    ("utilization", Obs.Json.Float utilization);
-    ("test_set", Obs.Json.String test_set);
-    ("precond", Obs.Json.String precond) ]
-
-let eval_json (ev : Postplace.Flow.evaluation) =
+let eval_json (ev : Flow.evaluation) =
   Obs.Json.Obj
-    [ ("thermal", Thermal.Metrics.to_json ev.Postplace.Flow.metrics);
+    [ ("thermal", Thermal.Metrics.to_json ev.Flow.metrics);
       ("hotspots",
-       Obs.Json.List
-         (List.map Postplace.Hotspot.to_json ev.Postplace.Flow.hotspots));
-      ("critical_ps",
-       Obs.Json.Float ev.Postplace.Flow.timing.Sta.Timing.critical_ps);
-      ("hpwl_um",
-       Obs.Json.Float (Place.Placement.hpwl ev.Postplace.Flow.placement));
+       Obs.Json.List (List.map Postplace.Hotspot.to_json ev.Flow.hotspots));
+      ("critical_ps", Obs.Json.Float ev.Flow.timing.Sta.Timing.critical_ps);
+      ("hpwl_um", Obs.Json.Float (Place.Placement.hpwl ev.Flow.placement));
       ("placement_utilization",
-       Obs.Json.Float
-         (Place.Placement.utilization ev.Postplace.Flow.placement)) ]
-
-(* Returns the process exit status so an unwritable --report, --perfetto
-   or --prom path surfaces as a clean error instead of an uncaught
-   Sys_error. *)
-let obs_end ~command ~trace ~report ~perfetto ~prom ~config ~sections =
-  if trace then Format.eprintf "%a" Obs.Trace.pp_tree ();
-  let prom_status =
-    match prom with
-    | None -> 0
-    | Some path ->
-      (match Obs.Prom.write_file path with
-       | () ->
-         Printf.printf "wrote prometheus metrics %s\n" path;
-         0
-       | exception Sys_error msg ->
-         Printf.eprintf "thermoplace: cannot write prometheus metrics: %s\n"
-           msg;
-         1)
-  in
-  let perfetto_status =
-    match perfetto with
-    | None -> 0
-    | Some path ->
-      (match Obs.Perfetto.write_file path with
-       | () ->
-         Printf.printf "wrote perfetto trace %s\n" path;
-         0
-       | exception Sys_error msg ->
-         Printf.eprintf "thermoplace: cannot write perfetto trace: %s\n" msg;
-         1)
-  in
-  let report_status =
-    match report with
-    | None -> 0
-    | Some path ->
-      let sections =
-        sections @ [ ("convergence", Thermal.Cg.histories_json ()) ]
-      in
-      (match
-         Obs.Report.write_file path
-           (Obs.Report.make ~command ~config ~sections ())
-       with
-       | () ->
-         Printf.printf "wrote report %s\n" path;
-         0
-       | exception Sys_error msg ->
-         Printf.eprintf "thermoplace: cannot write report: %s\n" msg;
-         1)
-  in
-  if report_status <> 0 then report_status
-  else if perfetto_status <> 0 then perfetto_status
-  else prom_status
+       Obs.Json.Float (Place.Placement.utilization ev.Flow.placement)) ]
 
 (* --- flow ---------------------------------------------------------------- *)
 
@@ -424,88 +241,56 @@ let overhead_arg =
        & opt (float_range ~min:0.0 ~max_inclusive:4.0 "--overhead") 0.2
        & info [ "overhead" ] ~docv:"F" ~doc)
 
-let run_flow seed cycles utilization test_set precond cache_slots technique
-    overhead jobs trace report perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  Parallel.Pool.set_jobs jobs;
-  apply_cache_slots cache_slots;
+let run_flow obs design technique overhead jobs =
   let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
+    design.config
     @ [ ("technique", Obs.Json.String technique);
         ("overhead", Obs.Json.Float overhead);
-        ("jobs", Obs.Json.Int jobs);
-        ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
+        ("jobs", Obs.Json.Int jobs) ]
   in
-  obs_begin ~command:"flow" ~ledger ~config ~trace ~report ~perfetto;
+  Parallel.Pool.set_jobs jobs;
+  Run.run ~command:"flow" ~obs ~config @@ fun () ->
   let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
+    design.prepare
+      ~extra:[ ("technique", technique); ("jobs", string_of_int jobs) ]
+      ()
   in
-  Run.set_fingerprint
-    (Postplace.Flow.fingerprint
-       ~extra:[ ("technique", technique); ("jobs", string_of_int jobs) ]
-       flow);
-  let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
-  in
-  Run.set_peak base.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  Format.printf "base: %a@." Place.Placement.pp_summary
-    base.Postplace.Flow.placement;
-  Format.printf "base thermal: %a@." Thermal.Metrics.pp
-    base.Postplace.Flow.metrics;
+  let base = evaluate_base flow in
+  Run.set_peak (peak base);
+  Format.printf "base: %a@." Place.Placement.pp_summary base.Flow.placement;
+  Format.printf "base thermal: %a@." Thermal.Metrics.pp base.Flow.metrics;
+  let utilization = flow.Flow.base_utilization /. (1.0 +. overhead) in
   let transformed =
     Run.phase "technique" @@ fun () ->
     match technique with
-    | "none" -> None
-    | "default" ->
-      Some
-        (Postplace.Flow.apply_default flow
-           ~utilization:(utilization /. (1.0 +. overhead)))
+    | "default" -> Some (Flow.apply_default flow ~utilization)
     | "eri" ->
       let rows =
         max 1
           (int_of_float
              (overhead
               *. float_of_int
-                   flow.Postplace.Flow.base_placement.Place.Placement.fp
+                   flow.Flow.base_placement.Place.Placement.fp
                      .Place.Floorplan.num_rows))
       in
-      let r = Postplace.Flow.apply_eri flow ~base ~rows in
+      let r = Flow.apply_eri flow ~base ~rows in
       Run.set_plan r.Postplace.Technique.inserted_after;
       Some r.Postplace.Technique.eri_placement
     | "hw" ->
-      let d =
-        Postplace.Flow.apply_default flow
-          ~utilization:(utilization /. (1.0 +. overhead))
-      in
-      let de = Postplace.Flow.evaluate flow d in
-      Some (Postplace.Flow.apply_hw flow ~on:de ())
-    | _ -> assert false
+      let de = Flow.evaluate flow (Flow.apply_default flow ~utilization) in
+      Some (Flow.apply_hw flow ~on:de ())
+    | _ (* "none" *) -> None
   in
   let result_section =
     match transformed with
     | None -> []
     | Some pl ->
-      let ev =
-        Run.phase "evaluate_after" @@ fun () ->
-        Postplace.Flow.evaluate flow pl
-      in
-      Run.set_peak ev.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-      let area_pct =
-        Postplace.Technique.area_overhead_pct
-          ~base:base.Postplace.Flow.placement pl
-      in
-      let red_pct =
-        Thermal.Metrics.reduction_pct ~before:base.Postplace.Flow.metrics
-          ~after:ev.Postplace.Flow.metrics
-      in
+      let ev, area_pct, red_pct = evaluate_after flow ~base pl in
       let timing_pct =
-        Sta.Timing.overhead_pct ~before:base.Postplace.Flow.timing
-          ~after:ev.Postplace.Flow.timing
+        Sta.Timing.overhead_pct ~before:base.Flow.timing ~after:ev.Flow.timing
       in
       Format.printf "after %s: %a@." technique Thermal.Metrics.pp
-        ev.Postplace.Flow.metrics;
+        ev.Flow.metrics;
       Format.printf
         "area overhead %.1f%%, peak reduction %.2f%%, timing %+0.2f%%@."
         area_pct red_pct timing_pct;
@@ -517,48 +302,31 @@ let run_flow seed cycles utilization test_set precond cache_slots technique
              ("gradient_reduction_pct",
               Obs.Json.Float
                 (Thermal.Metrics.gradient_reduction_pct
-                   ~before:base.Postplace.Flow.metrics
-                   ~after:ev.Postplace.Flow.metrics));
+                   ~before:base.Flow.metrics ~after:ev.Flow.metrics));
              ("timing_overhead_pct", Obs.Json.Float timing_pct);
              ("after", eval_json ev) ]) ]
   in
-  obs_end ~command:"flow" ~trace ~report ~perfetto ~prom ~config
-    ~sections:([ ("base", eval_json base) ] @ result_section)
+  (0, ("base", eval_json base) :: result_section)
 
 (* --- report ---------------------------------------------------------------- *)
 
-let run_report seed cycles utilization test_set precond trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config = base_config ~seed ~cycles ~utilization ~test_set ~precond in
-  obs_begin ~command:"report" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
-  let nl = flow.Postplace.Flow.bench.Netgen.Benchmark.netlist in
-  Format.printf "%a@."
-    Netlist.Stats.pp
-    (Netlist.Stats.compute flow.Postplace.Flow.tech nl);
+let run_report obs design =
+  Run.run ~command:"report" ~obs ~config:design.config @@ fun () ->
+  let flow = design.prepare () in
+  let nl = flow.Flow.bench.Netgen.Benchmark.netlist in
+  Format.printf "%a@." Netlist.Stats.pp (Netlist.Stats.compute flow.Flow.tech nl);
   Array.iter
     (fun u ->
        let cells = Netlist.Types.cells_of_unit nl u.Netgen.Benchmark.tag in
        Format.printf "unit %d %-8s %6d cells  %s@." u.Netgen.Benchmark.tag
          u.Netgen.Benchmark.unit_name (List.length cells)
          u.Netgen.Benchmark.description)
-    flow.Postplace.Flow.bench.Netgen.Benchmark.units;
-  let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
-  in
-  Run.set_peak base.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  Format.printf "placement: %a@." Place.Placement.pp_summary
-    base.Postplace.Flow.placement;
-  Format.printf "thermal:   %a@." Thermal.Metrics.pp
-    base.Postplace.Flow.metrics;
-  Format.printf "critical path: %.0f ps@."
-    base.Postplace.Flow.timing.Sta.Timing.critical_ps;
+    flow.Flow.bench.Netgen.Benchmark.units;
+  let base = evaluate_base flow in
+  Run.set_peak (peak base);
+  Format.printf "placement: %a@." Place.Placement.pp_summary base.Flow.placement;
+  Format.printf "thermal:   %a@." Thermal.Metrics.pp base.Flow.metrics;
+  Format.printf "critical path: %.0f ps@." base.Flow.timing.Sta.Timing.critical_ps;
   Format.printf "hotspots:@.";
   List.iteri
     (fun i h ->
@@ -567,9 +335,8 @@ let run_report seed cycles utilization test_set precond trace report
          (Postplace.Hotspot.tile_count h)
          (List.length h.Postplace.Hotspot.cells)
          h.Postplace.Hotspot.peak_rise_k)
-    base.Postplace.Flow.hotspots;
-  obs_end ~command:"report" ~trace ~report ~perfetto ~prom ~config
-    ~sections:[ ("base", eval_json base) ]
+    base.Flow.hotspots;
+  (0, [ ("base", eval_json base) ])
 
 (* --- maps ------------------------------------------------------------------- *)
 
@@ -577,20 +344,14 @@ let ascii_arg =
   let doc = "Render maps as terminal shading instead of numeric matrices." in
   Arg.(value & flag & info [ "ascii" ] ~doc)
 
-let run_maps seed cycles utilization test_set precond ascii trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config = base_config ~seed ~cycles ~utilization ~test_set ~precond in
-  obs_begin ~command:"maps" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
+let run_maps obs design ascii =
+  Run.run ~command:"maps" ~obs ~config:design.config @@ fun () ->
+  let flow = design.prepare () in
   let power, thermal =
     Run.phase "maps" @@ fun () -> Postplace.Experiment.fig5_maps flow
   in
-  Run.set_peak (Thermal.Metrics.of_map thermal).Thermal.Metrics.peak_rise_k;
+  let metrics = Thermal.Metrics.of_map thermal in
+  Run.set_peak metrics.Thermal.Metrics.peak_rise_k;
   let dump name g =
     Format.printf "# %s (%dx%d, top row first)@." name (Geo.Grid.nx g)
       (Geo.Grid.ny g);
@@ -599,9 +360,7 @@ let run_maps seed cycles utilization test_set precond ascii trace report
   in
   dump "power [W/tile]" power;
   dump "thermal rise [K]" thermal;
-  obs_end ~command:"maps" ~trace ~report ~perfetto ~prom ~config
-    ~sections:
-      [ ("thermal", Thermal.Metrics.to_json (Thermal.Metrics.of_map thermal)) ]
+  (0, [ ("thermal", Thermal.Metrics.to_json metrics) ])
 
 (* --- export ------------------------------------------------------------------ *)
 
@@ -609,44 +368,29 @@ let outdir_arg =
   let doc = "Directory for the exported files (created if missing)." in
   Arg.(value & opt string "export" & info [ "outdir"; "o" ] ~docv:"DIR" ~doc)
 
-let run_export seed cycles utilization test_set precond outdir trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
-    @ [ ("outdir", Obs.Json.String outdir) ]
-  in
-  obs_begin ~command:"export" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
+let run_export obs design outdir =
+  let config = design.config @ [ ("outdir", Obs.Json.String outdir) ] in
+  Run.run ~command:"export" ~obs ~config @@ fun () ->
+  let flow = design.prepare () in
   if not (Sys.file_exists outdir) then Unix.mkdir outdir 0o755;
-  let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
-  in
-  Run.set_peak base.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  let pl = base.Postplace.Flow.placement in
-  let nl = flow.Postplace.Flow.bench.Netgen.Benchmark.netlist in
+  let base = evaluate_base flow in
+  Run.set_peak (peak base);
+  let pl = base.Flow.placement in
+  let nl = flow.Flow.bench.Netgen.Benchmark.netlist in
   let path name = Filename.concat outdir name in
   let fillers, problem =
     Run.phase "export" @@ fun () ->
     Netlist.Verilog.write_file (path "design.v") ~module_name:"design" nl;
-    Celllib.Lef.write_file (path "cells.lef") flow.Postplace.Flow.tech;
+    Celllib.Lef.write_file (path "cells.lef") flow.Flow.tech;
     let fillers = Place.Filler.fill pl in
     Place.Def_writer.write_file (path "design.def") ~fillers pl;
     let problem =
-      Thermal.Mesh.build flow.Postplace.Flow.mesh_config
-        ~power:base.Postplace.Flow.power_map
+      Thermal.Mesh.build flow.Flow.mesh_config ~power:base.Flow.power_map
     in
     Thermal.Spice.write_file (path "thermal.sp") problem;
     let overlay =
-      { Place.Svg.heat = Some base.Postplace.Flow.thermal_map;
-        outlines =
-          List.map (fun h -> h.Postplace.Hotspot.rect)
-            base.Postplace.Flow.hotspots }
+      { Place.Svg.heat = Some base.Flow.thermal_map;
+        outlines = List.map (fun h -> h.Postplace.Hotspot.rect) base.Flow.hotspots }
     in
     Place.Svg.write_file (path "layout.svg") ~fillers ~overlay pl;
     (fillers, problem)
@@ -658,20 +402,9 @@ let run_export seed cycles utilization test_set precond outdir trace report
     (Netlist.Types.num_cells nl)
     (List.length fillers)
     (Thermal.Spice.count_resistors problem);
-  obs_end ~command:"export" ~trace ~report ~perfetto ~prom ~config
-    ~sections:[ ("base", eval_json base) ]
+  (0, [ ("base", eval_json base) ])
 
 (* --- sweep ------------------------------------------------------------------- *)
-
-let point_json (p : Postplace.Experiment.point) =
-  Obs.Json.Obj
-    [ ("scheme", Obs.Json.String p.Postplace.Experiment.scheme);
-      ("area_overhead_pct", Obs.Json.Float p.area_overhead_pct);
-      ("temp_reduction_pct", Obs.Json.Float p.temp_reduction_pct);
-      ("gradient_reduction_pct", Obs.Json.Float p.gradient_reduction_pct);
-      ("peak_rise_k", Obs.Json.Float p.peak_rise_k);
-      ("timing_overhead_pct", Obs.Json.Float p.timing_overhead_pct);
-      ("hpwl_um", Obs.Json.Float p.hpwl_um) ]
 
 let checkpoint_arg =
   let doc =
@@ -683,29 +416,15 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
-let run_sweep seed cycles utilization test_set precond cache_slots jobs
-    checkpoint trace report perfetto prom ledger =
-  with_structured_errors @@ fun () ->
+let run_sweep obs design jobs checkpoint =
+  let config = design.config @ [ ("jobs", Obs.Json.Int jobs) ] in
   Parallel.Pool.set_jobs jobs;
-  apply_cache_slots cache_slots;
-  let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
-    @ [ ("jobs", Obs.Json.Int jobs);
-        ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
-  in
-  obs_begin ~command:"sweep" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint
-    (Postplace.Flow.fingerprint ~extra:[ ("jobs", string_of_int jobs) ] flow);
+  Run.run ~command:"sweep" ~obs ~config @@ fun () ->
+  let flow = design.prepare ~extra:[ ("jobs", string_of_int jobs) ] () in
   let fig6 =
     Run.phase "sweep" @@ fun () -> Postplace.Experiment.run_fig6 ?checkpoint flow
   in
-  Run.set_peak
-    fig6.Postplace.Experiment.base_eval.Postplace.Flow.metrics
-      .Thermal.Metrics.peak_rise_k;
+  Run.set_peak (peak fig6.Postplace.Experiment.base_eval);
   let points =
     fig6.Postplace.Experiment.default_points
     @ fig6.Postplace.Experiment.eri_points
@@ -719,63 +438,69 @@ let run_sweep seed cycles utilization test_set precond cache_slots jobs
          p.Postplace.Experiment.scheme p.area_overhead_pct
          p.temp_reduction_pct p.timing_overhead_pct)
     points;
-  obs_end ~command:"sweep" ~trace ~report ~perfetto ~prom ~config
-    ~sections:
-      [ ("base", eval_json fig6.Postplace.Experiment.base_eval);
-        ("points", Obs.Json.List (List.map point_json points)) ]
+  ( 0,
+    [ ("base", eval_json fig6.Postplace.Experiment.base_eval);
+      ("points", Obs.Json.List (List.map Postplace.Experiment.point_to_json points)) ] )
 
 (* --- optimize ---------------------------------------------------------------- *)
+
+let screen_arg =
+  let doc =
+    "Optimizer candidate-screening tier: $(b,auto) (fft unless a fault is \
+     armed), $(b,fft) (rank candidates with the O(n log n) Green's-function \
+     power blurring, re-score only the leaders with MG-CG), or $(b,exact) \
+     (full solve for every candidate). The emitted plan is bit-identical \
+     across tiers whenever the blur leader set contains the exact winner."
+  in
+  Arg.(value & opt (enum Flow.screens) Flow.Screen_auto
+       & info [ "screen" ] ~docv:"S" ~doc)
+
+let guide_arg =
+  let doc =
+    "Optimizer candidate-ranking signal: $(b,peak) (evaluate each \
+     candidate's predicted peak temperature — the paper's scheme) or \
+     $(b,gradient) (one adjoint sensitivity solve per round prices every \
+     candidate from the dT_peak/d(power) map; only the committed chunk \
+     is confirmed exactly — far fewer solves at matched quality)."
+  in
+  Arg.(value & opt (enum Flow.guides) Flow.Guide_peak
+       & info [ "guide" ] ~docv:"G" ~doc)
 
 let rows_arg =
   let doc = "Empty-row budget to allocate greedily (>= 1)." in
   Arg.(value & opt (int_min ~min:1 "--rows") 2
        & info [ "rows" ] ~docv:"N" ~doc)
 
-let run_optimize seed cycles utilization test_set precond screen guide
-    cache_slots rows jobs trace report perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  Parallel.Pool.set_jobs jobs;
-  apply_cache_slots cache_slots;
+let run_optimize obs design screen guide rows jobs =
   let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
+    design.config
     @ [ ("rows", Obs.Json.Int rows); ("jobs", Obs.Json.Int jobs);
-        ("screen", Obs.Json.String screen);
-        ("guide", Obs.Json.String guide);
-        ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
+        ("screen", Obs.Json.String (Flow.screen_choice_name screen));
+        ("guide", Obs.Json.String (Flow.guide_choice_name guide)) ]
   in
-  obs_begin ~command:"optimize" ~ledger ~config ~trace ~report ~perfetto;
+  Parallel.Pool.set_jobs jobs;
+  Run.run ~command:"optimize" ~obs ~config @@ fun () ->
   let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~screen ~guide ~seed ~cycles ~utilization ~test_set ~precond ()
+    design.prepare ~screen ~guide
+      ~extra:[ ("rows", string_of_int rows); ("jobs", string_of_int jobs) ]
+      ()
   in
-  Run.set_fingerprint
-    (Postplace.Flow.fingerprint
-       ~extra:
-         [ ("rows", string_of_int rows); ("jobs", string_of_int jobs);
-           ("cache_slots",
-            string_of_int (Thermal.Mesh.cache_capacity ())) ]
-       flow);
-  let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
-  in
-  Format.printf "base thermal: %a@." Thermal.Metrics.pp
-    base.Postplace.Flow.metrics;
+  let base = evaluate_base flow in
+  Format.printf "base thermal: %a@." Thermal.Metrics.pp base.Flow.metrics;
   (* under the gradient guide, surface the base placement's sensitivity
      map before optimizing: where a watt buys the most peak temperature *)
   let sens_sections =
-    match flow.Postplace.Flow.guide with
-    | Postplace.Flow.Guide_peak -> []
-    | Postplace.Flow.Guide_gradient ->
+    match guide with
+    | Flow.Guide_peak -> []
+    | Flow.Guide_gradient ->
       let adj =
         Run.phase "sensitivity" @@ fun () ->
-        Postplace.Flow.sensitivity flow flow.Postplace.Flow.base_placement
+        Flow.sensitivity flow flow.Flow.base_placement
       in
       let sens = adj.Thermal.Adjoint.sensitivity in
       let ix, iy = Geo.Grid.argmax sens in
       let gap =
-        adj.Thermal.Adjoint.smoothed_peak_k
-        -. adj.Thermal.Adjoint.peak_rise_k
+        adj.Thermal.Adjoint.smoothed_peak_k -. adj.Thermal.Adjoint.peak_rise_k
       in
       Format.printf
         "adjoint sensitivity: peak %.3f K/W at tile (%d, %d), smoothing \
@@ -796,33 +521,20 @@ let run_optimize seed cycles utilization test_set precond screen guide
     Run.phase "optimize" @@ fun () ->
     Postplace.Optimizer.greedy_rows flow ~rows ()
   in
-  Run.set_plan
-    r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
-  let pl = r.Postplace.Optimizer.plan.Postplace.Technique.eri_placement in
-  let ev =
-    Run.phase "evaluate_after" @@ fun () -> Postplace.Flow.evaluate flow pl
-  in
-  Run.set_peak ev.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  let area_pct =
-    Postplace.Technique.area_overhead_pct ~base:base.Postplace.Flow.placement
-      pl
-  in
-  let red_pct =
-    Thermal.Metrics.reduction_pct ~before:base.Postplace.Flow.metrics
-      ~after:ev.Postplace.Flow.metrics
-  in
-  Format.printf "optimized: %a@." Thermal.Metrics.pp
-    ev.Postplace.Flow.metrics;
+  let plan = r.Postplace.Optimizer.plan in
+  Run.set_plan plan.Postplace.Technique.inserted_after;
+  let pl = plan.Postplace.Technique.eri_placement in
+  let ev, area_pct, red_pct = evaluate_after flow ~base pl in
+  Format.printf "optimized: %a@." Thermal.Metrics.pp ev.Flow.metrics;
   Format.printf
     "rows %d, evaluations %d (adjoint %d), area overhead %.1f%%, peak \
      reduction %.2f%%@."
     rows r.Postplace.Optimizer.evaluations
     r.Postplace.Optimizer.adjoint_evaluations area_pct red_pct;
-  obs_end ~command:"optimize" ~trace ~report ~perfetto ~prom ~config
-    ~sections:
-      ([ ("base", eval_json base) ]
-       @ sens_sections
-       @ [ ("result",
+  ( 0,
+    [ ("base", eval_json base) ]
+    @ sens_sections
+    @ [ ("result",
          Obs.Json.Obj
            [ ("rows", Obs.Json.Int rows);
              ("evaluations", Obs.Json.Int r.Postplace.Optimizer.evaluations);
@@ -835,27 +547,19 @@ let run_optimize seed cycles utilization test_set precond screen guide
              ("inserted_after",
               Obs.Json.List
                 (List.map (fun i -> Obs.Json.Int i)
-                   r.Postplace.Optimizer.plan.Postplace.Technique
-                     .inserted_after));
+                   plan.Postplace.Technique.inserted_after));
              ("area_overhead_pct", Obs.Json.Float area_pct);
              ("peak_reduction_pct", Obs.Json.Float red_pct);
-             ("after", eval_json ev) ]) ])
+             ("after", eval_json ev) ]) ] )
 
 (* --- check ------------------------------------------------------------------- *)
 
-let run_check seed cycles utilization test_set precond trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config = base_config ~seed ~cycles ~utilization ~test_set ~precond in
-  obs_begin ~command:"check" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
+let run_check obs design =
+  Run.run ~command:"check" ~obs ~config:design.config @@ fun () ->
+  let flow = design.prepare () in
   let outcomes =
     Run.phase "check" @@ fun () ->
-    Postplace.Flow.check_design flow flow.Postplace.Flow.base_placement
+    Flow.check_design flow flow.Flow.base_placement
   in
   List.iter
     (fun (o : Robust.Validate.outcome) ->
@@ -879,11 +583,6 @@ let run_check seed cycles utilization test_set precond trace report
          | Some d -> Obs.Json.String d) ]
   in
   let status =
-    obs_end ~command:"check" ~trace ~report ~perfetto ~prom ~config
-      ~sections:[ ("checks", Obs.Json.List (List.map outcome_json outcomes)) ]
-  in
-  if status <> 0 then status
-  else
     match failures with
     | [] -> 0
     | o :: _ ->
@@ -891,6 +590,8 @@ let run_check seed cycles utilization test_set precond trace report
         (Robust.Error.Invariant_violation
            { check = o.Robust.Validate.check_name;
              detail = Option.value o.Robust.Validate.failure ~default:"" })
+  in
+  (status, [ ("checks", Obs.Json.List (List.map outcome_json outcomes)) ])
 
 (* --- serve ------------------------------------------------------------------- *)
 
@@ -943,10 +644,23 @@ let retry_base_ms_arg =
        & opt (float_range ~min:0.0 ~min_exclusive:0.0 "--retry-base-ms") 25.0
        & info [ "retry-base-ms" ] ~docv:"MS" ~doc)
 
-let run_serve input output queue_cap flow_slots max_retries retry_base_ms
-    jobs cache_slots trace report perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  apply_cache_slots cache_slots;
+let open_input input =
+  if input = "-" then Ok Unix.stdin
+  else
+    match Unix.openfile input [ Unix.O_RDONLY ] 0 with
+    | fd -> Ok fd
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "cannot open %s: %s" input (Unix.error_message e))
+
+let open_output output =
+  if output = "-" then Ok (stdout, fun () -> flush stdout)
+  else
+    match open_out output with
+    | oc -> Ok (oc, fun () -> close_out oc)
+    | exception Sys_error msg -> Error ("cannot open output: " ^ msg)
+
+let run_serve obs input output queue_cap flow_slots max_retries retry_base_ms
+    jobs =
   let config =
     [ ("input", Obs.Json.String input);
       ("output", Obs.Json.String output);
@@ -954,56 +668,49 @@ let run_serve input output queue_cap flow_slots max_retries retry_base_ms
       ("flow_slots", Obs.Json.Int flow_slots);
       ("max_retries", Obs.Json.Int max_retries);
       ("retry_base_ms", Obs.Json.Float retry_base_ms);
-      ("jobs", Obs.Json.Int jobs);
-      ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
+      ("jobs", Obs.Json.Int jobs) ]
   in
-  obs_begin ~command:"serve" ~ledger ~config ~trace ~report ~perfetto;
-  let in_fd =
-    if input = "-" then Unix.stdin
-    else
-      try Unix.openfile input [ Unix.O_RDONLY ] 0
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "thermoplace: cannot open %s: %s\n" input
-          (Unix.error_message e);
-        exit 2
-  in
-  let out_ch, close_output =
-    if output = "-" then (stdout, fun () -> flush stdout)
-    else
-      match open_out output with
-      | oc -> (oc, fun () -> close_out oc)
-      | exception Sys_error msg ->
-        Printf.eprintf "thermoplace: cannot open output: %s\n" msg;
-        exit 2
-  in
-  (* Per-job ledger records go to the same ledger as this run's own
-     summary record, so `history list --job ID` sees both sides. *)
-  let server_config =
-    { Serve.Server.default_config with
-      Serve.Server.queue_capacity = queue_cap;
-      flow_slots;
-      policy =
-        { Serve.Policy.default with
-          Serve.Policy.max_retries;
-          base_delay_ms = retry_base_ms };
-      ledger = !Run.ledger_path }
-  in
-  let summary =
-    Fun.protect
-      ~finally:(fun () ->
-        close_output ();
-        if input <> "-" then Unix.close in_fd)
-      (fun () ->
-         Parallel.Pool.with_pool ~jobs @@ fun () ->
-         Run.phase "serve" @@ fun () ->
-         Serve.Server.run ~config:server_config ~input:in_fd ~output:out_ch
-           ())
-  in
-  (* The summary goes to stderr: stdout may be the response stream. *)
-  Printf.eprintf "thermoplace: serve summary %s\n"
-    (Obs.Json.to_string (Serve.Server.summary_json summary));
-  obs_end ~command:"serve" ~trace ~report ~perfetto ~prom ~config
-    ~sections:[ ("summary", Serve.Server.summary_json summary) ]
+  Run.run ~command:"serve" ~obs ~config @@ fun () ->
+  let close_input fd = if input <> "-" then Unix.close fd in
+  match open_input input with
+  | Error msg ->
+    Printf.eprintf "thermoplace: %s\n" msg;
+    (2, [])
+  | Ok in_fd ->
+    match open_output output with
+    | Error msg ->
+      close_input in_fd;
+      Printf.eprintf "thermoplace: %s\n" msg;
+      (2, [])
+    | Ok (out_ch, close_output) ->
+      (* Per-job ledger records go to the same ledger as this run's own
+         summary record, so `history list --job ID` sees both sides. *)
+      let server_config =
+        { Serve.Server.default_config with
+          Serve.Server.queue_capacity = queue_cap;
+          flow_slots;
+          policy =
+            { Serve.Policy.default with
+              Serve.Policy.max_retries;
+              base_delay_ms = retry_base_ms };
+          ledger = Run.ledger_path () }
+      in
+      let summary =
+        Fun.protect
+          ~finally:(fun () ->
+            close_output ();
+            close_input in_fd)
+          (fun () ->
+             Parallel.Pool.with_pool ~jobs @@ fun () ->
+             Run.phase "serve" @@ fun () ->
+             Serve.Server.run ~config:server_config ~input:in_fd
+               ~output:out_ch ())
+      in
+      (* The summary goes to stderr: stdout may be the response stream. *)
+      let summary = Serve.Server.summary_json summary in
+      Printf.eprintf "thermoplace: serve summary %s\n"
+        (Obs.Json.to_string summary);
+      (0, [ ("summary", summary) ])
 
 let serve_cmd =
   let doc =
@@ -1014,10 +721,8 @@ let serve_cmd =
      (stop accepting, finish everything admitted, exit 0)."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run_serve $ input_arg $ output_arg $ queue_cap_arg
-          $ flow_slots_arg $ max_retries_arg $ retry_base_ms_arg $ jobs_arg
-          $ cache_slots_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+    Term.(const run_serve $ obs $ input_arg $ output_arg $ queue_cap_arg
+          $ flow_slots_arg $ max_retries_arg $ retry_base_ms_arg $ jobs_arg)
 
 (* --- history ----------------------------------------------------------------- *)
 
@@ -1289,37 +994,26 @@ let history_cmd =
   in
   let doc = "Inspect the cross-run ledger (list, show, diff, trend)." in
   Cmd.group (Cmd.info "history" ~doc) [ list_cmd; show_cmd; diff_cmd; trend_cmd ]
-
 (* --- command wiring ------------------------------------------------------------ *)
 
 let flow_cmd =
   let doc = "Run the flow and apply one temperature-reduction technique." in
   Cmd.v (Cmd.info "flow" ~doc)
-    Term.(const run_flow $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ cache_slots_arg $ technique_arg $ overhead_arg
-          $ jobs_arg $ trace_arg $ report_arg $ perfetto_arg $ prom_arg
-          $ ledger_arg)
+    Term.(const run_flow $ obs $ design $ technique_arg $ overhead_arg
+          $ jobs_arg)
 
 let report_cmd =
   let doc = "Print netlist, placement, power and thermal summaries." in
-  Cmd.v (Cmd.info "report" ~doc)
-    Term.(const run_report $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ trace_arg $ report_arg $ perfetto_arg $ prom_arg
-          $ ledger_arg)
+  Cmd.v (Cmd.info "report" ~doc) Term.(const run_report $ obs $ design)
 
 let maps_cmd =
   let doc = "Dump power and thermal maps (Fig. 5 data)." in
-  Cmd.v (Cmd.info "maps" ~doc)
-    Term.(const run_maps $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ ascii_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+  Cmd.v (Cmd.info "maps" ~doc) Term.(const run_maps $ obs $ design $ ascii_arg)
 
 let sweep_cmd =
   let doc = "Reduction-vs-overhead sweep for all three schemes (Fig. 6)." in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run_sweep $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ cache_slots_arg $ jobs_arg $ checkpoint_arg
-          $ trace_arg $ report_arg $ perfetto_arg $ prom_arg $ ledger_arg)
+    Term.(const run_sweep $ obs $ design $ jobs_arg $ checkpoint_arg)
 
 let check_cmd =
   let doc =
@@ -1327,10 +1021,7 @@ let check_cmd =
      containment, power-map sanity, mesh-matrix SPD structure, bounded \
      temperatures) and exit non-zero on any violation."
   in
-  Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run_check $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ trace_arg $ report_arg $ perfetto_arg $ prom_arg
-          $ ledger_arg)
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run_check $ obs $ design)
 
 let optimize_cmd =
   let doc =
@@ -1339,10 +1030,8 @@ let optimize_cmd =
      domain pool)."
   in
   Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(const run_optimize $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ screen_arg $ guide_arg $ cache_slots_arg
-          $ rows_arg $ jobs_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+    Term.(const run_optimize $ obs $ design $ screen_arg $ guide_arg
+          $ rows_arg $ jobs_arg)
 
 let export_cmd =
   let doc =
@@ -1350,9 +1039,7 @@ let export_cmd =
      netlist and an SVG layout with hotspot overlay."
   in
   Cmd.v (Cmd.info "export" ~doc)
-    Term.(const run_export $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ outdir_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+    Term.(const run_export $ obs $ design $ outdir_arg)
 
 let () =
   (match Robust.Faults.init_from_env () with
@@ -1360,18 +1047,6 @@ let () =
    | Error msg ->
      Printf.eprintf "thermoplace: %s\n" msg;
      exit 2);
-  (* environment-level default for the mesh cache capacity; an explicit
-     --cache-slots flag runs later and overrides it *)
-  (match Sys.getenv_opt "THERMOPLACE_CACHE_SLOTS" with
-   | None -> ()
-   | Some s ->
-     (match int_of_string_opt s with
-      | Some n when n >= 1 -> Thermal.Mesh.set_cache_capacity n
-      | _ ->
-        Printf.eprintf
-          "thermoplace: THERMOPLACE_CACHE_SLOTS must be an integer >= 1 \
-           (got %S)\n" s;
-        exit 2));
   let doc = "post-placement temperature reduction (Liu & Nannarelli, DATE'10)" in
   let info = Cmd.info "thermoplace" ~version:"1.0.0" ~doc in
   exit

@@ -1,17 +1,36 @@
-let test_set_1 ?(seed = 42) ?(sim_cycles = 1000) ?precond ?screen ?guide () =
-  let bench = Netgen.Benchmark.nine_unit () in
-  (* mul16a (0), div16 (4), add64 (6) and cmp32 (8) sit in different
-     corners/edges of the 3x3 region grid -> four scattered hotspots *)
-  let workload =
-    Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ]
-  in
-  Flow.prepare ~seed ~sim_cycles ?precond ?screen ?guide bench workload
+type test_set = Scattered | Concentrated | Small
 
-let test_set_2 ?(seed = 42) ?(sim_cycles = 1000) ?precond ?screen ?guide () =
-  let bench = Netgen.Benchmark.nine_unit () in
-  (* mul20 (tag 2) is the largest unit: one big concentrated hotspot *)
-  let workload = Logicsim.Workload.concentrated_hotspot ~hot_unit:2 in
-  Flow.prepare ~seed ~sim_cycles ?precond ?screen ?guide bench workload
+let test_sets =
+  [ ("scattered", Scattered); ("concentrated", Concentrated);
+    ("small", Small) ]
+
+let test_set_name s = fst (List.find (fun (_, v) -> v = s) test_sets)
+
+let prepare_test_set ?seed ?utilization ?sim_cycles ?precond ?screen ?guide
+    set =
+  let bench, workload =
+    match set with
+    | Scattered ->
+      (* mul16a (0), div16 (4), add64 (6) and cmp32 (8) sit in different
+         corners/edges of the 3x3 region grid -> four scattered hotspots *)
+      ( Netgen.Benchmark.nine_unit (),
+        Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ] )
+    | Concentrated ->
+      (* mul20 (tag 2) is the largest unit: one big concentrated hotspot *)
+      ( Netgen.Benchmark.nine_unit (),
+        Logicsim.Workload.concentrated_hotspot ~hot_unit:2 )
+    | Small ->
+      ( Netgen.Benchmark.small (),
+        Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ] )
+  in
+  Flow.prepare ?seed ?utilization ?sim_cycles ?precond ?screen ?guide bench
+    workload
+
+let test_set_1 ?seed ?sim_cycles ?precond ?screen ?guide () =
+  prepare_test_set ?seed ?sim_cycles ?precond ?screen ?guide Scattered
+
+let test_set_2 ?seed ?sim_cycles ?precond ?screen ?guide () =
+  prepare_test_set ?seed ?sim_cycles ?precond ?screen ?guide Concentrated
 
 type point = {
   scheme : string;

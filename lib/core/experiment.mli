@@ -4,6 +4,25 @@
     to one table or figure of the evaluation section (plus the in-text
     claims). The bench executable formats these results. *)
 
+type test_set = Scattered | Concentrated | Small
+(** The benchmark workloads: test set 1 (four scattered hotspots on the
+    nine-unit benchmark), test set 2 (one concentrated hotspot on the same
+    benchmark) and a tiny 3-unit smoke benchmark. *)
+
+val test_sets : (string * test_set) list
+(** Every test set by name: ["scattered"], ["concentrated"], ["small"].
+    The CLI flag and the serve request decoder both read this table. *)
+
+val test_set_name : test_set -> string
+(** The {!test_sets} name of a test set. *)
+
+val prepare_test_set :
+  ?seed:int -> ?utilization:float -> ?sim_cycles:int ->
+  ?precond:Thermal.Mesh.precond_choice -> ?screen:Flow.screen_choice ->
+  ?guide:Flow.guide_choice -> test_set -> Flow.t
+(** {!Flow.prepare} on the test set's benchmark and workload, with
+    {!Flow.prepare}'s defaults for every omitted argument. *)
+
 val test_set_1 : ?seed:int -> ?sim_cycles:int ->
   ?precond:Thermal.Mesh.precond_choice -> ?screen:Flow.screen_choice ->
   ?guide:Flow.guide_choice -> unit -> Flow.t
@@ -38,7 +57,7 @@ val point_to_json : point -> Obs.Json.t
 val point_of_json : Obs.Json.t -> point option
 (** Exact codec pair ([point_of_json (point_to_json p) = Some p],
     including float bit patterns) — the checkpoint representation of one
-    sweep point. *)
+    sweep point, and its form in reports and bench summaries. *)
 
 type fig6 = {
   base_eval : Flow.evaluation;

@@ -2,16 +2,18 @@ module P = Place.Placement
 
 type screen_choice = Screen_auto | Screen_fft | Screen_exact
 
-let screen_choice_name = function
-  | Screen_auto -> "auto"
-  | Screen_fft -> "fft"
-  | Screen_exact -> "exact"
+let screens =
+  [ ("auto", Screen_auto); ("fft", Screen_fft); ("exact", Screen_exact) ]
+
+let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
+
+let screen_choice_name = name_in screens
 
 type guide_choice = Guide_peak | Guide_gradient
 
-let guide_choice_name = function
-  | Guide_peak -> "peak"
-  | Guide_gradient -> "gradient"
+let guides = [ ("peak", Guide_peak); ("gradient", Guide_gradient) ]
+
+let guide_choice_name = name_in guides
 
 type t = {
   bench : Netgen.Benchmark.t;
@@ -36,13 +38,9 @@ let mesh_config_name (cfg : Thermal.Mesh.config) =
   Printf.sprintf "%dx%dx%d" cfg.Thermal.Mesh.nx cfg.Thermal.Mesh.ny
     (Thermal.Stack.num_layers cfg.Thermal.Mesh.stack)
 
-let precond_choice_name = function
-  | None -> "auto"
-  | Some c -> Thermal.Mesh.precond_choice_name c
-
 let mesh_name t = mesh_config_name t.mesh_config
 
-let precond_name t = precond_choice_name t.mesh_precond
+let precond_name t = Thermal.Mesh.precond_choice_name t.mesh_precond
 
 (* The fingerprint is a pure function of the configuration, so it can be
    computed from a job request *before* paying for [prepare] — the serve
@@ -51,7 +49,7 @@ let config_fingerprint ?(extra = []) ~mesh_config ~precond ~screen ~guide
     ~seed ~utilization () =
   String.concat "|"
     ([ "mesh=" ^ mesh_config_name mesh_config;
-       "precond=" ^ precond_choice_name precond;
+       "precond=" ^ Thermal.Mesh.precond_choice_name precond;
        "screen=" ^ screen_choice_name screen;
        "guide=" ^ guide_choice_name guide;
        Printf.sprintf "seed=%d" seed;

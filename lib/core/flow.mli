@@ -18,8 +18,12 @@ type screen_choice = Screen_auto | Screen_fft | Screen_exact
     injected faults must reach the exact solve path they target, so
     fault-injected runs always fall back to exact screening. *)
 
+val screens : (string * screen_choice) list
+(** Every screening tier by name: ["auto"], ["fft"], ["exact"]. The CLI
+    flag and the serve request decoder both read this table. *)
+
 val screen_choice_name : screen_choice -> string
-(** ["auto"], ["fft"] or ["exact"] — for reports and config echoes. *)
+(** The {!screens} name of a tier — for reports and config echoes. *)
 
 type guide_choice = Guide_peak | Guide_gradient
 (** How the optimizer ranks whitespace-allocation candidates.
@@ -31,8 +35,11 @@ type guide_choice = Guide_peak | Guide_gradient
     redistribution without any per-candidate solve, and only the
     committed winner is confirmed exactly. *)
 
+val guides : (string * guide_choice) list
+(** Every ranking signal by name: ["peak"], ["gradient"]. *)
+
 val guide_choice_name : guide_choice -> string
-(** ["peak"] or ["gradient"] — for reports and config echoes. *)
+(** The {!guides} name of a signal — for reports and config echoes. *)
 
 type t = {
   bench : Netgen.Benchmark.t;

@@ -23,8 +23,11 @@ let evaluate_plan flow ~after ~nx =
 
 (* SSOR beats Jacobi by ~3x in iterations on the mesh stencil; candidate
    solves don't need Jacobi's cheaper apply because the matrix is reused
-   from the cache anyway. *)
-let eval_precond = Thermal.Cg.Ssor 1.6
+   from the cache anyway. Ranking over-relaxes harder than the
+   user-facing [Thermal.Cg.ssor_omega]. *)
+let ranking_omega = 1.6
+
+let eval_precond = Thermal.Cg.Ssor ranking_omega
 
 (* Candidate *ranking* only has to separate peaks that differ by
    millikelvins, so trial solves stop at 1e-6 relative (inexact

@@ -87,6 +87,10 @@ let span_insertions fp (lo, hi) budget =
 (* Apply an explicit insertion plan: an empty row appears right above each
    listed row; rows further up shift. This is the primitive both the
    standard ERI and the greedy optimizer use. *)
+let plan_hash inserted_after =
+  Digest.to_hex
+    (Digest.string (String.concat "," (List.map string_of_int inserted_after)))
+
 let apply_row_insertions pl after =
   let after = List.sort compare after in
   let shift r = List.length (List.filter (fun a -> a < r) after) in

@@ -52,6 +52,12 @@ type eri_result = {
   (** original row indices after which an empty row was inserted *)
 }
 
+val plan_hash : int list -> string
+(** Committed-plan identity: the hex MD5 of the comma-joined
+    [inserted_after] list. CLI ledger records and serve responses both
+    carry it, so "did these two runs commit the same plan?" is one string
+    comparison in [thermoplace history diff]. *)
+
 val apply_row_insertions : Place.Placement.t -> int list -> eri_result
 (** Low-level primitive: insert one empty row above each listed (original)
     row index; duplicates mean several empty rows at the same spot. Used by

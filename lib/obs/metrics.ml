@@ -274,18 +274,19 @@ let histogram ?(labels = []) name =
 
 let mean h = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
 
-(* Nearest-rank percentile over the retained reservoir. *)
-let percentile h q =
+let nearest_rank a q =
   if not (q >= 0.0 && q <= 1.0) then
-    invalid_arg "Obs.Metrics.percentile: q not in [0,1]";
-  match h.samples with
-  | [] -> Float.nan
-  | samples ->
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    let n = Array.length a in
+    invalid_arg "Obs.Metrics.nearest_rank: q not in [0,1]";
+  let n = Array.length a in
+  if n = 0 then Float.nan
+  else
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
     a.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
+
+let percentile h q =
+  let a = Array.of_list h.samples in
+  Array.sort compare a;
+  nearest_rank a q
 
 let snapshot () =
   locked (fun () ->

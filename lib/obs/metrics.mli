@@ -67,10 +67,15 @@ val gauge_value : ?labels:(string * string) list -> string -> float option
 val histogram : ?labels:(string * string) list -> string -> histogram option
 val mean : histogram -> float
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank a q] with [a] sorted ascending and [q] in [0, 1]: the
+    element of rank [ceil (q * n)] (clamped to [1, n]), so [q = 0.5] is
+    the lower median. [nan] on an empty array; raises [Invalid_argument]
+    on [q] outside [0, 1]. *)
+
 val percentile : histogram -> float -> float
-(** [percentile h q] with [q] in [0, 1]: nearest-rank percentile of the
-    retained samples ([q = 0.5] is the median). [nan] on an empty
-    sample set; raises [Invalid_argument] on [q] outside [0, 1]. *)
+(** [percentile h q]: {!nearest_rank} over the sorted retained
+    samples. *)
 
 val escape_label_value : string -> string
 (** Prometheus text-exposition escaping for label values: backslash,

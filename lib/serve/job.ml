@@ -10,11 +10,10 @@ module Flow = Postplace.Flow
 
 type technique = Default | Eri | Hw | Optimize
 
-let technique_name = function
-  | Default -> "default"
-  | Eri -> "eri"
-  | Hw -> "hw"
-  | Optimize -> "optimize"
+let techniques =
+  [ ("default", Default); ("eri", Eri); ("hw", Hw); ("optimize", Optimize) ]
+
+let technique_name t = fst (List.find (fun (_, v) -> v = t) techniques)
 
 type request = {
   id : string;
@@ -38,33 +37,6 @@ type request = {
 }
 
 let ( let* ) = Result.bind
-
-let technique_of_string = function
-  | "default" -> Ok Default
-  | "eri" -> Ok Eri
-  | "hw" -> Ok Hw
-  | "optimize" -> Ok Optimize
-  | s -> Error (Printf.sprintf "unknown technique %S" s)
-
-let precond_of_string = function
-  | "auto" -> Ok None
-  | "jacobi" -> Ok (Some Thermal.Mesh.Pc_jacobi)
-  | "ssor" -> Ok (Some (Thermal.Mesh.Pc_ssor 1.2))
-  | "mg" -> Ok (Some Thermal.Mesh.Pc_mg)
-  | s -> Error (Printf.sprintf "unknown precond %S" s)
-
-let screen_of_string = function
-  | "auto" -> Ok Flow.Screen_auto
-  | "fft" -> Ok Flow.Screen_fft
-  | "exact" -> Ok Flow.Screen_exact
-  | s -> Error (Printf.sprintf "unknown screen %S" s)
-
-let guide_of_string = function
-  | "peak" -> Ok Flow.Guide_peak
-  | "gradient" -> Ok Flow.Guide_gradient
-  | s -> Error (Printf.sprintf "unknown guide %S" s)
-
-let test_sets = [ "scattered"; "concentrated"; "small" ]
 
 let field_str json name ~default =
   match Obs.Json.member name json with
@@ -90,6 +62,14 @@ let field_float json name ~default =
     | Some v when Float.is_finite v -> Ok v
     | _ -> Error (Printf.sprintf "field %S must be a finite number" name))
 
+(* A string field naming one entry of a choice table: the name and the
+   value it selects. *)
+let field_enum json ~id name table ~default =
+  let* s = field_str json name ~default in
+  match List.assoc_opt s table with
+  | Some v -> Ok (s, v)
+  | None -> Error (Printf.sprintf "%s: unknown %s %S" id name s)
+
 let field_opt json name to_v ~kind =
   match Obs.Json.member name json with
   | None -> Ok None
@@ -108,15 +88,11 @@ let request_of_json json =
       | None -> Error "missing string field \"id\""
     in
     let fail fmt = Printf.ksprintf (fun m -> Error (id ^ ": " ^ m)) fmt in
-    let* test_set = field_str json "test_set" ~default:"small" in
-    let* () =
-      if List.mem test_set test_sets then Ok ()
-      else fail "unknown test_set %S" test_set
+    let enum name table ~default = field_enum json ~id name table ~default in
+    let* test_set, _ =
+      enum "test_set" Postplace.Experiment.test_sets ~default:"small"
     in
-    let* technique_s = field_str json "technique" ~default:"eri" in
-    let* technique =
-      Result.map_error (fun m -> id ^ ": " ^ m) (technique_of_string technique_s)
-    in
+    let* _, technique = enum "technique" techniques ~default:"eri" in
     let* seed = field_int json "seed" ~default:42 in
     let* cycles = field_int json "cycles" ~default:1000 in
     let* () = if cycles >= 1 then Ok () else fail "cycles must be >= 1" in
@@ -125,18 +101,11 @@ let request_of_json json =
       if utilization > 0.0 && utilization <= 1.0 then Ok ()
       else fail "utilization must be in (0, 1]"
     in
-    let* precond_name = field_str json "precond" ~default:"auto" in
-    let* precond =
-      Result.map_error (fun m -> id ^ ": " ^ m) (precond_of_string precond_name)
+    let* precond_name, precond =
+      enum "precond" Thermal.Mesh.preconds ~default:"auto"
     in
-    let* screen_name = field_str json "screen" ~default:"auto" in
-    let* screen =
-      Result.map_error (fun m -> id ^ ": " ^ m) (screen_of_string screen_name)
-    in
-    let* guide_name = field_str json "guide" ~default:"peak" in
-    let* guide =
-      Result.map_error (fun m -> id ^ ": " ^ m) (guide_of_string guide_name)
-    in
+    let* screen_name, screen = enum "screen" Flow.screens ~default:"auto" in
+    let* guide_name, guide = enum "guide" Flow.guides ~default:"peak" in
     let* overhead = field_float json "overhead" ~default:0.2 in
     let* () =
       if overhead >= 0.0 && overhead <= 4.0 then Ok ()
@@ -220,24 +189,11 @@ let fingerprint r =
     ~extra:[ ("set", r.test_set); ("cycles", string_of_int r.cycles) ]
     ()
 
-(* Same test-set -> (benchmark, workload) mapping as the CLI. *)
 let prepare_flow r =
-  let prep bench workload =
-    Flow.prepare ~seed:r.seed ~utilization:r.utilization
-      ~sim_cycles:r.cycles ?precond:r.precond ~screen:r.screen
-      ~guide:r.guide bench workload
-  in
-  match r.test_set with
-  | "scattered" ->
-    prep (Netgen.Benchmark.nine_unit ())
-      (Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ])
-  | "concentrated" ->
-    prep (Netgen.Benchmark.nine_unit ())
-      (Logicsim.Workload.concentrated_hotspot ~hot_unit:2)
-  | "small" ->
-    prep (Netgen.Benchmark.small ())
-      (Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ])
-  | _ -> assert false (* request_of_json validated the enum *)
+  Postplace.Experiment.prepare_test_set ~seed:r.seed
+    ~utilization:r.utilization ~sim_cycles:r.cycles ?precond:r.precond
+    ~screen:r.screen ~guide:r.guide
+    (List.assoc r.test_set Postplace.Experiment.test_sets)
 
 type executed = {
   peak_rise_k : float;
@@ -246,10 +202,6 @@ type executed = {
   plan_hash : string option;
   result_json : Obs.Json.t;
 }
-
-let plan_digest inserted_after =
-  Digest.to_hex
-    (Digest.string (String.concat "," (List.map string_of_int inserted_after)))
 
 let derived_rows r (flow : Flow.t) =
   match r.rows with
@@ -278,7 +230,7 @@ let execute ~(flow : Flow.t) ~(base : Flow.evaluation) r =
     let area =
       Postplace.Technique.area_overhead_pct ~base:base.Flow.placement pl
     in
-    let plan_hash = Option.map plan_digest plan in
+    let plan_hash = Option.map Postplace.Technique.plan_hash plan in
     let result_json =
       Obs.Json.Obj
         ([ ("technique", Obs.Json.String (technique_name r.technique));

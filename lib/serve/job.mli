@@ -58,8 +58,9 @@ val fingerprint : request -> string
     base evaluation. *)
 
 val prepare_flow : request -> Postplace.Flow.t
-(** Prepare the flow for this request (same test-set mapping as the
-    CLI). Expensive — the server caches the result per fingerprint. *)
+(** Prepare the flow for this request
+    ({!Postplace.Experiment.prepare_test_set}). Expensive — the server
+    caches the result per fingerprint. *)
 
 type executed = {
   peak_rise_k : float;

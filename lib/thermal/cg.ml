@@ -6,6 +6,8 @@ type outcome = {
   breakdown : string option;
 }
 
+let ssor_omega = 1.2
+
 type precond = Jacobi | Ssor of float | Multigrid of Multigrid.t
 
 let default_tol = 1e-10
@@ -380,7 +382,7 @@ type escalation = {
    retried with progressively heavier configurations:
      jacobi   — cold Jacobi restart at the requested iteration budget
                 (skipped when that is exactly what just failed);
-     ssor     — SSOR(1.2) with a doubled budget: a stronger
+     ssor     — SSOR([ssor_omega]) with a doubled budget: a stronger
                 preconditioner shrinks the iteration count on the mesh
                 stencil and sidesteps Jacobi-specific stagnation;
      restart  — cold Jacobi with a quadrupled budget, the last resort
@@ -411,7 +413,7 @@ let solve_escalating m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond () =
       @ [ ("ssor",
            fun () ->
              solve m ~b ~tol ~max_iter:(2 * base_iter)
-               ~precond:(Ssor 1.2) ~label:"esc:ssor" ());
+               ~precond:(Ssor ssor_omega) ~label:"esc:ssor" ());
           ("restart",
            fun () ->
              solve m ~b ~tol ~max_iter:(4 * base_iter)

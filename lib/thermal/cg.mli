@@ -18,6 +18,11 @@ type outcome = {
       either the best iterate reached or the untouched start vector. *)
 }
 
+val ssor_omega : float
+(** The SSOR relaxation factor (1.2) of every SSOR solve the user can
+    select ([--precond ssor], a serve job's ["ssor"]), of the escalation
+    ladder's SSOR rung and of {!Transient}'s default. *)
+
 type precond =
   | Jacobi        (** diagonal scaling — cheapest apply, default *)
   | Ssor of float

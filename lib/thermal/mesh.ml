@@ -132,26 +132,12 @@ type cache_entry = {
   ce_blur : Blur.t option ref;
 }
 
-(* Default of 8 slots covers the optimizer (one extent per inserted-row
-   count) plus a package sweep; larger sweeps can widen it via
-   [set_cache_capacity] / THERMOPLACE_CACHE_SLOTS now that an entry also
-   carries the MG hierarchy and the blur kernel, both expensive to
-   recharacterize after a thrash. *)
-let cache_capacity_ref = ref 8
+(* 8 slots cover the optimizer (one extent per inserted-row count) plus
+   a package sweep; an entry also carries the MG hierarchy and the blur
+   kernel, both expensive to recharacterize after a thrash. *)
+let cache_capacity = 8
 let cache_mutex = Mutex.create ()
 let cache_entries : ((config * Geo.Rect.t) * cache_entry) list ref = ref []
-
-let cache_capacity () = !cache_capacity_ref
-
-let set_cache_capacity n =
-  if n < 1 then invalid_arg "Mesh.set_cache_capacity: capacity must be >= 1";
-  Mutex.protect cache_mutex (fun () ->
-      cache_capacity_ref := n;
-      let len = List.length !cache_entries in
-      if len > n then begin
-        cache_entries := List.filteri (fun i _ -> i < n) !cache_entries;
-        Obs.Metrics.count "thermal.mesh.cache.evictions" ~by:(len - n)
-      end)
 
 let cache_clear () =
   Mutex.protect cache_mutex (fun () -> cache_entries := [])
@@ -171,14 +157,11 @@ let cache_insert key e =
       match List.assoc_opt key !cache_entries with
       | Some existing -> existing (* a racing build won; reuse its entry *)
       | None ->
-        let cap = !cache_capacity_ref in
+        let keep = cache_capacity - 1 in
         let len = List.length !cache_entries in
-        let kept =
-          List.filteri (fun i _ -> i < cap - 1) !cache_entries
-        in
-        if len > cap - 1 then
-          Obs.Metrics.count "thermal.mesh.cache.evictions"
-            ~by:(len - (cap - 1));
+        let kept = List.filteri (fun i _ -> i < keep) !cache_entries in
+        if len > keep then
+          Obs.Metrics.count "thermal.mesh.cache.evictions" ~by:(len - keep);
         cache_entries := (key, e) :: kept;
         e)
 
@@ -275,16 +258,17 @@ let multigrid p =
     p.p_mg := Some h;
     h
 
-type precond_choice = Pc_jacobi | Pc_ssor of float | Pc_mg
+type precond_choice = Pc_jacobi | Pc_ssor | Pc_mg
 
-let precond_choice_name = function
-  | Pc_jacobi -> "jacobi"
-  | Pc_ssor _ -> "ssor"
-  | Pc_mg -> "mg"
+let preconds =
+  [ ("auto", None); ("jacobi", Some Pc_jacobi); ("ssor", Some Pc_ssor);
+    ("mg", Some Pc_mg) ]
+
+let precond_choice_name c = fst (List.find (fun (_, v) -> v = c) preconds)
 
 let precond_of_choice p = function
   | Pc_jacobi -> Cg.Jacobi
-  | Pc_ssor omega -> Cg.Ssor omega
+  | Pc_ssor -> Cg.Ssor Cg.ssor_omega
   | Pc_mg -> Cg.Multigrid (multigrid p)
 
 type solution = {

@@ -44,16 +44,10 @@ val cache_clear : unit -> unit
     hierarchies and blur kernels that ride with them). Mainly for tests
     and benchmarks. *)
 
-val cache_capacity : unit -> int
-(** Current MRU capacity (default 8 entries). *)
-
-val set_cache_capacity : int -> unit
-(** Resize the matrix MRU cache (minimum 1; [Invalid_argument] below
-    that). Shrinking evicts the least-recently-used entries immediately.
-    Every eviction — here or on insert overflow — is counted in
-    [thermal.mesh.cache.evictions]. Reachable from the CLI via
-    [--cache-slots] or the THERMOPLACE_CACHE_SLOTS environment
-    variable. *)
+val cache_capacity : int
+(** The matrix MRU cache's capacity: 8 entries. Inserting into a full
+    cache evicts the least-recently-used entry, counted in
+    [thermal.mesh.cache.evictions]. *)
 
 val matrix : problem -> Sparse.t
 val rhs : problem -> float array
@@ -79,14 +73,20 @@ val multigrid : problem -> Multigrid.t
     problem's cache entry, so repeated builds of the same (config, extent)
     mesh — an optimizer run, a sweep — construct it exactly once. *)
 
-type precond_choice = Pc_jacobi | Pc_ssor of float | Pc_mg
+type precond_choice = Pc_jacobi | Pc_ssor | Pc_mg
 (** A preconditioner selection that is plain data — CLI flags and
     [Flow] configuration carry this, and it is resolved against a
     concrete problem by {!precond_of_choice} (the multigrid variant needs
     the problem's hierarchy). *)
 
-val precond_choice_name : precond_choice -> string
-(** ["jacobi"], ["ssor"] or ["mg"] — for reports and config echoes. *)
+val preconds : (string * precond_choice option) list
+(** Every preconditioner name a user can select, with its choice:
+    ["auto"] (stage defaults, [None]), ["jacobi"], ["ssor"] (omega
+    {!Cg.ssor_omega}) and ["mg"]. The CLI flag, the serve request decoder
+    and {!precond_choice_name} all read this one table. *)
+
+val precond_choice_name : precond_choice option -> string
+(** The {!preconds} name of a choice — for reports and config echoes. *)
 
 val precond_of_choice : problem -> precond_choice -> Cg.precond
 (** Resolve a choice against a problem; [Pc_mg] builds (or reuses) the

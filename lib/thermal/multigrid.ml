@@ -104,7 +104,10 @@ let level_of ~index ~a ~nx ~ny ~nz ~down =
     down;
     residual_metric = Printf.sprintf "thermal.mg.level%d.residual" index }
 
-let build ~fine ~nx ~ny ~nz ?(smoother = Ssor 1.0) ~assemble () =
+(* Symmetric Gauss-Seidel: the default smoother's relaxation factor. *)
+let smoother_omega = 1.0
+
+let build ~fine ~nx ~ny ~nz ?(smoother = Ssor smoother_omega) ~assemble () =
   Obs.Trace.with_span "thermal.mg.build" @@ fun () ->
   if nx <= 0 || ny <= 0 || nz <= 0 then
     invalid_arg "Multigrid.build: grid dimensions must be positive";

@@ -48,7 +48,7 @@ let shifted_matrix cfg ~extent ~material ~dt_s =
 (* Backward Euler: (G + C/dt) T_{k+1} = P + (C/dt) T_k. The shifted matrix
    is SPD whenever G is, so CG applies; consecutive steps warm-start. *)
 let step_response cfg ~power ?(material = default_capacitance)
-    ?(dt_s = 2e-6) ?(steps = 60) ?(precond = Mesh.Pc_ssor 1.2) () =
+    ?(dt_s = 2e-6) ?(steps = 60) ?(precond = Mesh.Pc_ssor) () =
   if dt_s <= 0.0 || steps <= 0 then
     invalid_arg "Transient.step_response: non-positive dt or steps";
   let problem = Mesh.build cfg ~power in
@@ -71,7 +71,7 @@ let step_response cfg ~power ?(material = default_capacitance)
   let step_precond =
     match precond with
     | Mesh.Pc_jacobi -> Cg.Jacobi
-    | Mesh.Pc_ssor omega -> Cg.Ssor omega
+    | Mesh.Pc_ssor -> Cg.Ssor Cg.ssor_omega
     | Mesh.Pc_mg ->
       let h =
         Multigrid.build ~fine:shifted ~nx:cfg.Mesh.nx ~ny:cfg.Mesh.ny

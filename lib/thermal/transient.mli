@@ -33,7 +33,7 @@ val step_response :
   ?steps:int -> ?precond:Mesh.precond_choice -> unit -> response
 (** Apply the power map as a step at t=0 from ambient and integrate.
     Defaults: [dt_s] 2e-6, [steps] 60 (covering ~0.12 ms), [precond]
-    [Pc_ssor 1.2].
+    [Pc_ssor].
 
     The steady-state normalization solve goes through {!Mesh.solve} —
     matrix MRU cache, configured preconditioner (multigrid hierarchy

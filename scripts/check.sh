@@ -7,11 +7,13 @@
 # against the committed bench/baselines via bench_diff (wall-clock
 # regressions and invariant flips fail the run),
 # smoke the CLI with --report, --perfetto and --prom, validate the JSON
-# all three write, exercise the invariant-check subcommand and the
+# all three write, run report / maps / export once each with a validated
+# report, exercise the invariant-check subcommand and the
 # fault-injection harness (structured exit codes), prove the sweep
 # checkpoint resumes, and smoke the run ledger end to end (every run —
 # including the fault-injected failures — must append a valid JSONL
-# record, and thermoplace history must read them back). Run from
+# record, and thermoplace history must read them back; a serve that
+# cannot open its input still leaves one). Run from
 # anywhere inside the repository.
 set -eu
 
@@ -115,9 +117,10 @@ serve_out2=$(mktemp /tmp/thermoplace-serve-out2.XXXXXX.jsonl)
 serve_ledger=$(mktemp /tmp/thermoplace-serve-ledger.XXXXXX.jsonl)
 serve_err=$(mktemp /tmp/thermoplace-serve-err.XXXXXX.log)
 serve_fifo=$(mktemp -u /tmp/thermoplace-serve-fifo.XXXXXX)
+export_dir=$(mktemp -d /tmp/thermoplace-export.XXXXXX)
 trap 'rm -f "$report" "$ckpt" "$perfetto" "$prom" "$hist" "$ledger" \
   "$serve_jobs" "$serve_out" "$serve_out2" "$serve_ledger" "$serve_err" \
-  "$serve_fifo"' EXIT
+  "$serve_fifo"; rm -rf "$export_dir"' EXIT
 dune exec bin/thermoplace.exe -- \
   flow --test-set small --cycles 200 --report "$report" \
   --prom "$prom" >/dev/null
@@ -161,6 +164,28 @@ awk -v g="$peak_grad" -v p="$peak_peak" \
 
 echo "== invariant checks (thermoplace check)"
 dune exec bin/thermoplace.exe -- check --test-set small --cycles 200 >/dev/null
+
+echo "== report / maps / export smoke"
+# The three read-only subcommands go through the same run context: each
+# writes a valid report and one ledger record.
+dune exec bin/thermoplace.exe -- \
+  report --test-set small --cycles 200 --report "$report" \
+  --ledger "$ledger" >/dev/null
+dune exec bin/json_check.exe -- \
+  "$report" schema_version config spans metrics base convergence
+dune exec bin/thermoplace.exe -- \
+  maps --test-set small --cycles 200 --ascii --report "$report" \
+  --ledger "$ledger" >/dev/null
+dune exec bin/json_check.exe -- \
+  "$report" schema_version config spans metrics thermal convergence
+dune exec bin/thermoplace.exe -- \
+  export --test-set small --cycles 200 --outdir "$export_dir" \
+  --report "$report" --ledger "$ledger" >/dev/null
+dune exec bin/json_check.exe -- \
+  "$report" schema_version config spans metrics base convergence
+for f in design.v cells.lef design.def thermal.sp layout.svg; do
+  test -s "$export_dir/$f"
+done
 
 echo "== fault-injection smoke"
 # A NaN injected into the power map must surface as a structured invariant
@@ -220,6 +245,20 @@ echo "$exits" | grep -qx '15'
 dune exec bin/json_check.exe -- --jsonl "$serve_ledger" 7
 dune exec bin/thermoplace.exe -- history list --ledger "$serve_ledger" \
   --job bad | grep -q 'serve.job'
+
+echo "== batch serve unreadable input (exit 2, one ledger record)"
+rm -f "$serve_ledger"
+rc=0
+dune exec bin/thermoplace.exe -- serve --input /nonexistent \
+  --ledger "$serve_ledger" 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "serve: expected exit 2 for a missing input, got $rc" >&2
+  exit 1
+fi
+dune exec bin/json_check.exe -- --jsonl "$serve_ledger" 1
+wc -l <"$serve_ledger" | grep -qx '1'
+dune exec bin/json_check.exe -- --jsonl-field "$serve_ledger" outcome \
+  | grep -qx '"error"'
 
 echo "== batch serve fault isolation (bit-identical mates)"
 # Re-run the same file without the poisoned job: every surviving job's
@@ -291,11 +330,11 @@ dune exec bin/thermoplace.exe -- \
   sweep --test-set small --cycles 200 --checkpoint "$ckpt" >/dev/null
 
 echo "== run ledger + history smoke"
-# Every run above — 6 benches, 8 thermoplace runs (2 of them
+# Every run above — 6 benches, 11 thermoplace runs (2 of them
 # fault-injected failures) and the 2 sweeps — appended exactly one
 # record to the scratch ledger (the serve smokes wrote to their own
 # explicit --ledger files, which beat THERMOPLACE_LEDGER).
-dune exec bin/json_check.exe -- --jsonl "$ledger" 16
+dune exec bin/json_check.exe -- --jsonl "$ledger" 19
 # Two optimize runs differing only in preconditioner, into a fresh
 # ledger (the explicit --ledger flag beats THERMOPLACE_LEDGER), so
 # history diff sees exactly the config delta.

@@ -668,10 +668,6 @@ let netgen_macros () =
     macro "wallace_multiplier" (fun b ->
         let a, c = two b 5 in
         Netgen.Multiplier.wallace_multiplier b ~a ~b:c);
-    macro "xnor_lfsr" (fun b -> Netgen.Seq.xnor_lfsr b ~width:5 ~taps:[ 4; 2 ]);
-    macro "counter" (fun b ->
-        Netgen.Seq.counter b ~width:5 ~enable:(B.add_input b));
-    macro "gray_encode" (fun b -> Netgen.Seq.gray_encode b (ins b "g" 6));
     macro "barrel shifters" (fun b ->
         let data = ins b "x" 8 and amount = ins b "s" 3 in
         Array.concat

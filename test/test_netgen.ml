@@ -276,98 +276,6 @@ let test_full_adder_prim () =
     ~model:(fun x c -> (x land 1) + ((x lsr 1) land 1) + c)
     [ (0, 0); (1, 0); (2, 0); (3, 0); (0, 1); (1, 1); (2, 1); (3, 1) ]
 
-(* --- sequential blocks ------------------------------------------------------ *)
-
-let test_lfsr_matches_software_model () =
-  let width = 4 and taps = [ 3; 2 ] in
-  let b = B.create () in
-  let q = Netgen.Seq.xnor_lfsr b ~width ~taps in
-  Array.iter (B.mark_output b) q;
-  let nl = B.finish b in
-  let sim = Logicsim.Sim.create nl in
-  (* software model: state starts at 0 (the DFF power-up value) *)
-  let state = ref 0 in
-  let model_step () =
-    let tap_xor =
-      List.fold_left (fun acc i -> acc lxor ((!state lsr i) land 1)) 0 taps
-    in
-    let feedback = 1 - tap_xor in
-    state := ((!state lsl 1) lor feedback) land ((1 lsl width) - 1)
-  in
-  (* after step k the visible Q is the state after k-1 transitions (the
-     capture of cycle k becomes visible in cycle k+1) *)
-  for cycle = 1 to 40 do
-    Logicsim.Sim.step sim;
-    let hw = read_bus sim q in
-    Alcotest.(check int)
-      (Printf.sprintf "state at cycle %d" cycle)
-      !state hw;
-    model_step ()
-  done
-
-let test_lfsr_maximal_period () =
-  let width = 4 and taps = [ 3; 2 ] in
-  let b = B.create () in
-  let q = Netgen.Seq.xnor_lfsr b ~width ~taps in
-  Array.iter (B.mark_output b) q;
-  let nl = B.finish b in
-  let sim = Logicsim.Sim.create nl in
-  let seen = Hashtbl.create 16 in
-  let states = ref [] in
-  for _ = 1 to 15 do
-    Logicsim.Sim.step sim;
-    let s = read_bus sim q in
-    states := s :: !states;
-    Hashtbl.replace seen s ()
-  done;
-  (* maximal-length XNOR LFSR: 15 distinct states, never all-ones *)
-  Alcotest.(check int) "15 distinct states" 15 (Hashtbl.length seen);
-  Alcotest.(check bool) "all-ones lockup state never visited" true
-    (not (Hashtbl.mem seen 15));
-  (* and it is periodic: the 16th step revisits the 1st state *)
-  Logicsim.Sim.step sim;
-  Alcotest.(check int) "period 15" (List.nth (List.rev !states) 0)
-    (read_bus sim q)
-
-let test_counter_counts () =
-  let b = B.create () in
-  let en = B.add_input b in
-  let q = Netgen.Seq.counter b ~width:5 ~enable:en in
-  Array.iter (B.mark_output b) q;
-  let nl = B.finish b in
-  let sim = Logicsim.Sim.create nl in
-  Logicsim.Sim.set_input sim 0 true;
-  for k = 1 to 40 do
-    Logicsim.Sim.step sim;
-    (* visible count lags the capture by one cycle *)
-    Alcotest.(check int)
-      (Printf.sprintf "count at %d" k)
-      ((k - 1) mod 32)
-      (read_bus sim q)
-  done;
-  (* freeze *)
-  Logicsim.Sim.set_input sim 0 false;
-  Logicsim.Sim.step sim;
-  let frozen = read_bus sim q in
-  Logicsim.Sim.step sim;
-  Alcotest.(check int) "enable gates counting" frozen (read_bus sim q)
-
-let test_gray_encode () =
-  let b = B.create () in
-  let bus = Array.init 4 (fun _ -> B.add_input b) in
-  let gray = Netgen.Seq.gray_encode b bus in
-  Array.iter (B.mark_output b) gray;
-  let nl = B.finish b in
-  let sim = Logicsim.Sim.create nl in
-  for v = 0 to 15 do
-    set_bus sim 0 4 v;
-    Logicsim.Sim.step sim;
-    Alcotest.(check int)
-      (Printf.sprintf "gray(%d)" v)
-      (v lxor (v lsr 1))
-      (read_bus sim gray)
-  done
-
 (* --- benchmark ------------------------------------------------------------ *)
 
 let test_nine_unit_shape () =
@@ -516,13 +424,6 @@ let () =
       ("prim",
        [ Alcotest.test_case "reductions" `Quick test_reductions;
          Alcotest.test_case "full adder" `Quick test_full_adder_prim ]);
-      ("seq",
-       [ Alcotest.test_case "lfsr vs software model" `Quick
-           test_lfsr_matches_software_model;
-         Alcotest.test_case "lfsr maximal period" `Quick
-           test_lfsr_maximal_period;
-         Alcotest.test_case "counter" `Quick test_counter_counts;
-         Alcotest.test_case "gray encode" `Quick test_gray_encode ]);
       ("benchmark",
        [ Alcotest.test_case "nine-unit shape" `Quick test_nine_unit_shape;
          Alcotest.test_case "small benchmark" `Quick test_small_benchmark;

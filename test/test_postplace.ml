@@ -638,6 +638,89 @@ let test_fig6_parallel_identical () =
 
 (* --- qcheck properties -------------------------------------------------------------- *)
 
+(* --- run context --------------------------------------------------------- *)
+
+module Run = Postplace.Run
+
+(* Run [body] under a fresh scratch ledger; the status and the records. *)
+let run_recorded ?(obs = Run.no_obs) body =
+  let path = Filename.temp_file "run_ledger" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+       let status =
+         Run.run ~command:"test" ~obs:{ obs with Run.ledger = Some path }
+           ~config:[ ("k", Obs.Json.Int 1) ] body
+       in
+       match Obs.Ledger.load path with
+       | Ok records -> (status, records)
+       | Error msg -> Alcotest.fail msg)
+
+let one_record = function
+  | [ r ] -> r
+  | rs -> Alcotest.failf "expected one ledger record, got %d" (List.length rs)
+
+let field r k = Option.map Obs.Json.to_string (Obs.Json.member k r)
+
+let test_run_ok_one_record () =
+  let status, records =
+    run_recorded (fun () ->
+        Run.set_fingerprint "fp";
+        Run.phase "work" ignore;
+        Run.set_peak 1.5;
+        Run.set_plan [ 3; 1 ];
+        (0, []))
+  in
+  Alcotest.(check int) "status" 0 status;
+  let r = one_record records in
+  Alcotest.(check string) "outcome" "ok" (Obs.Ledger.outcome r);
+  Alcotest.(check int) "exit code" 0 (Obs.Ledger.exit_code r);
+  Alcotest.(check string) "fingerprint" "fp" (Obs.Ledger.fingerprint r);
+  Alcotest.(check (list string)) "phases" [ "work_ms"; "total_ms" ]
+    (List.map fst (Obs.Ledger.phases_ms r));
+  Alcotest.(check (option string)) "plan hash"
+    (Some (Printf.sprintf "%S" (Postplace.Technique.plan_hash [ 3; 1 ])))
+    (field r "plan_hash");
+  Alcotest.(check (option string)) "config" (Some {|{"k":1}|})
+    (field r "config")
+
+let test_run_structured_error () =
+  let e = Robust.Error.Invariant_violation { check = "c"; detail = "d" } in
+  let status, records = run_recorded (fun () -> Robust.Error.raise_ e) in
+  Alcotest.(check int) "class exit code" (Robust.Error.exit_code e) status;
+  let r = one_record records in
+  Alcotest.(check string) "outcome" "error" (Obs.Ledger.outcome r);
+  Alcotest.(check int) "exit code" status (Obs.Ledger.exit_code r);
+  Alcotest.(check (option string)) "error"
+    (Some (Printf.sprintf "%S" (Robust.Error.to_string e)))
+    (field r "error")
+
+let test_run_nonzero_status () =
+  let status, records = run_recorded (fun () -> (2, [])) in
+  Alcotest.(check int) "status" 2 status;
+  let r = one_record records in
+  Alcotest.(check string) "outcome" "error" (Obs.Ledger.outcome r);
+  Alcotest.(check int) "exit code" 2 (Obs.Ledger.exit_code r)
+
+let test_run_ledger_none () =
+  let ran = ref false in
+  let status =
+    Run.run ~command:"test" ~obs:{ Run.no_obs with Run.ledger = Some "none" }
+      ~config:[] (fun () -> ran := true; (0, []))
+  in
+  Alcotest.(check int) "status" 0 status;
+  Alcotest.(check bool) "body ran" true !ran;
+  Alcotest.(check (option string)) "no ledger" None (Run.ledger_path ())
+
+let test_run_unwritable_report () =
+  let obs = { Run.no_obs with Run.report = Some "/nonexistent-dir/r.json" } in
+  let status, records = run_recorded ~obs (fun () -> (0, [])) in
+  Alcotest.(check int) "export failure is status 1" 1 status;
+  let r = one_record records in
+  Alcotest.(check string) "outcome" "error" (Obs.Ledger.outcome r);
+  Alcotest.(check int) "exit code" 1 (Obs.Ledger.exit_code r)
+
 let prop_eri_always_legal =
   QCheck.Test.make ~name:"ERI legal for any row budget" ~count:20
     QCheck.(int_range 0 30)
@@ -762,6 +845,14 @@ let () =
       ("experiment",
        [ Alcotest.test_case "fig6 parallel identical" `Quick
            test_fig6_parallel_identical ]);
+      ("run",
+       [ Alcotest.test_case "one record on ok" `Quick test_run_ok_one_record;
+         Alcotest.test_case "structured error" `Quick
+           test_run_structured_error;
+         Alcotest.test_case "non-zero status" `Quick test_run_nonzero_status;
+         Alcotest.test_case "ledger none" `Quick test_run_ledger_none;
+         Alcotest.test_case "unwritable report" `Quick
+           test_run_unwritable_report ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_eri_always_legal; prop_detect_threshold_monotone;

@@ -226,6 +226,52 @@ let test_fingerprint_groups_configs () =
   Alcotest.(check bool) "different cycles, different fingerprint" true
     (Job.fingerprint a <> Job.fingerprint c)
 
+(* Every name of every choice table decodes to the table's value and
+   renders back to the same name. *)
+let test_choice_tables () =
+  let decode field name =
+    parse_ok (Printf.sprintf {|{"id":"t","%s":"%s"}|} field name)
+  in
+  let check_table field table get name_of =
+    List.iter
+      (fun (name, v) ->
+         let got_name, got = get (decode field name) in
+         Alcotest.(check bool) (field ^ " " ^ name) true (got = v);
+         Alcotest.(check string) (field ^ " name") name got_name;
+         Alcotest.(check string) (field ^ " round trip") name (name_of v))
+      table
+  in
+  check_table "precond" Thermal.Mesh.preconds
+    (fun r -> (r.Job.precond_name, r.Job.precond))
+    Thermal.Mesh.precond_choice_name;
+  check_table "screen" Postplace.Flow.screens
+    (fun r -> (r.Job.screen_name, r.Job.screen))
+    Postplace.Flow.screen_choice_name;
+  check_table "guide" Postplace.Flow.guides
+    (fun r -> (r.Job.guide_name, r.Job.guide))
+    Postplace.Flow.guide_choice_name;
+  check_table "test_set" Postplace.Experiment.test_sets
+    (fun r ->
+       (r.Job.test_set,
+        List.assoc r.Job.test_set Postplace.Experiment.test_sets))
+    Postplace.Experiment.test_set_name
+
+(* A job's test set prepares the same flow as the Experiment table entry
+   of that name. *)
+let test_job_test_sets_match_experiment () =
+  List.iter
+    (fun (name, set) ->
+       let r =
+         parse_ok (Printf.sprintf {|{"id":"t","test_set":"%s","cycles":20}|} name)
+       in
+       let job = Job.prepare_flow r in
+       let exp = Postplace.Experiment.prepare_test_set ~sim_cycles:20 set in
+       Alcotest.(check string) (name ^ " fingerprint")
+         (Postplace.Flow.fingerprint exp) (Postplace.Flow.fingerprint job);
+       Alcotest.(check bool) (name ^ " per-cell power") true
+         (exp.Postplace.Flow.per_cell_w = job.Postplace.Flow.per_cell_w))
+    Postplace.Experiment.test_sets
+
 (* --- server end-to-end ----------------------------------------------------- *)
 
 let test_config =
@@ -445,7 +491,10 @@ let () =
          Alcotest.test_case "validation" `Quick test_request_validation;
          Alcotest.test_case "guide field" `Quick test_request_guide_field;
          Alcotest.test_case "fingerprint batching identity" `Quick
-           test_fingerprint_groups_configs ]);
+           test_fingerprint_groups_configs;
+         Alcotest.test_case "choice tables" `Quick test_choice_tables;
+         Alcotest.test_case "test sets match Experiment" `Quick
+           test_job_test_sets_match_experiment ]);
       ("server",
        [ Alcotest.test_case "fault isolation" `Quick test_fault_isolation;
          Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;

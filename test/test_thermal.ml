@@ -567,7 +567,7 @@ let test_transient_precond_parity_and_iterations () =
   in
   let rs =
     Thermal.Transient.step_response cfg ~power:p ~dt_s:2e-5 ~steps:40
-      ~precond:(Thermal.Mesh.Pc_ssor 1.2) ()
+      ~precond:(Thermal.Mesh.Pc_ssor) ()
   in
   let rm =
     Thermal.Transient.step_response cfg ~power:p ~dt_s:2e-5 ~steps:40
@@ -649,7 +649,7 @@ let fd_validate ~nx ~precond_choice () =
   fd_probe cfg problem adj ~precond ~ix:0 ~iy:0
 
 let test_adjoint_fd_ssor_8 () =
-  fd_validate ~nx:8 ~precond_choice:(Thermal.Mesh.Pc_ssor 1.2) ()
+  fd_validate ~nx:8 ~precond_choice:(Thermal.Mesh.Pc_ssor) ()
 
 let test_adjoint_fd_mg_16 () =
   fd_validate ~nx:16 ~precond_choice:Thermal.Mesh.Pc_mg ()
@@ -1421,41 +1421,31 @@ let test_blur_kernel_cached () =
     (k1 == k2)
 
 let test_mesh_cache_capacity () =
-  let saved = Thermal.Mesh.cache_capacity () in
-  Fun.protect
-    ~finally:(fun () -> Thermal.Mesh.set_cache_capacity saved)
-    (fun () ->
-       Obs.Metrics.set_enabled true;
-       Obs.Metrics.reset ();
-       Thermal.Mesh.cache_clear ();
-       Thermal.Mesh.set_cache_capacity 2;
-       Alcotest.(check int) "capacity set" 2
-         (Thermal.Mesh.cache_capacity ());
-       let build nx =
-         let p = uniform_power ~nx ~ny:nx ~total:0.01 in
-         Thermal.Mesh.build
-           { Thermal.Mesh.default_config with Thermal.Mesh.nx; ny = nx }
-           ~power:p
-       in
-       ignore (build 8);
-       ignore (build 10);
-       let p12 = build 12 in
-       (* 3 distinct extents through a 2-slot cache: at least one eviction *)
-       (match Obs.Metrics.counter_value "thermal.mesh.cache.evictions" with
-        | Some n when n >= 1 -> ()
-        | v ->
-          Alcotest.failf "expected evictions, got %s"
-            (match v with None -> "none" | Some n -> string_of_int n));
-       (* the most recent entry is still resident *)
-       let p12' = build 12 in
-       Alcotest.(check bool) "MRU entry survives" true
-         (Thermal.Mesh.matrix p12 == Thermal.Mesh.matrix p12');
-       (* shrinking trims immediately; invalid capacities are rejected *)
-       Thermal.Mesh.set_cache_capacity 1;
-       Alcotest.(check int) "shrunk" 1 (Thermal.Mesh.cache_capacity ());
-       match Thermal.Mesh.set_cache_capacity 0 with
-       | _ -> Alcotest.fail "capacity 0 accepted"
-       | exception Invalid_argument _ -> ())
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Thermal.Mesh.cache_clear ();
+  let build nx =
+    let p = uniform_power ~nx ~ny:nx ~total:0.01 in
+    Thermal.Mesh.build
+      { Thermal.Mesh.default_config with Thermal.Mesh.nx; ny = nx }
+      ~power:p
+  in
+  (* one more distinct extent than the cache holds: at least one eviction *)
+  let sizes = List.init (Thermal.Mesh.cache_capacity + 1) (fun i -> 4 + i) in
+  let problems = List.map build sizes in
+  (match Obs.Metrics.counter_value "thermal.mesh.cache.evictions" with
+   | Some n when n >= 1 -> ()
+   | v ->
+     Alcotest.failf "expected evictions, got %s"
+       (match v with None -> "none" | Some n -> string_of_int n));
+  (* the most recent entry is still resident; the least recent is gone *)
+  let last = List.nth problems Thermal.Mesh.cache_capacity in
+  Alcotest.(check bool) "MRU entry survives" true
+    (Thermal.Mesh.matrix last
+     == Thermal.Mesh.matrix (build (List.nth sizes Thermal.Mesh.cache_capacity)));
+  Alcotest.(check bool) "LRU entry evicted" false
+    (Thermal.Mesh.matrix (List.hd problems)
+     == Thermal.Mesh.matrix (build (List.hd sizes)))
 
 let () =
   Alcotest.run "thermal"
