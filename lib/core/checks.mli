@@ -21,7 +21,7 @@ val power_map : Geo.Grid.t -> Robust.Validate.check
 (** ["power.finite_nonneg"]: every tile power is finite and
     non-negative. *)
 
-val mesh_matrix : Thermal.Sparse.t -> Robust.Validate.check
+val mesh_matrix : Thermal.Stencil.t -> Robust.Validate.check
 (** ["mesh.spd_structure"]: positive finite diagonal, symmetric entries,
     and diagonal dominance ([sum |row| <= 2 diag], the resistive-network
     property that underwrites positive definiteness). *)

@@ -179,7 +179,7 @@ let divergence_factor = 1e8
 
 let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) () =
   let rlog = log_create () in
-  let n = Sparse.dim m in
+  let n = Stencil.dim m in
   if Array.length b <> n then invalid_arg "Cg.solve: rhs dimension mismatch";
   (match precond with
    | Jacobi -> ()
@@ -190,7 +190,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) () =
      if Multigrid.fine_dim h <> n then
        invalid_arg "Cg.solve: multigrid hierarchy dimension mismatch");
   let max_iter = match max_iter with Some k -> k | None -> 4 * n in
-  let diag = Sparse.diagonal m in
+  let diag = m.Stencil.diag in
   Array.iter
     (fun d -> if d <= 0.0 then
         invalid_arg "Cg.solve: non-positive diagonal entry")
@@ -214,7 +214,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) () =
     | Jacobi ->
       par_iter_chunks n (fun lo hi ->
           for i = lo to hi do z.(i) <- r.(i) /. diag.(i) done)
-    | Ssor omega -> Sparse.ssor_apply m ~diag ~omega r z
+    | Ssor omega -> Stencil.ssor_apply m ~omega r z
     | Multigrid h -> Multigrid.apply h (Option.get mg_ws) r z
   in
   let x = match x0 with
@@ -224,7 +224,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) () =
     | None -> Array.make n 0.0
   in
   let r = Array.make n 0.0 in
-  Sparse.mul_par m x r;
+  Stencil.mul_par m x r;
   par_iter_chunks n (fun lo hi ->
       for i = lo to hi do r.(i) <- b.(i) -. r.(i) done);
   let bnorm = norm b in
@@ -251,7 +251,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) () =
          posted by the serve watchdog aborts a long solve within a few
          iterations instead of only between flow phases *)
       if !iterations land 15 = 0 then Robust.Cancel.check ();
-      Sparse.mul_par m p ap;
+      Stencil.mul_par m p ap;
       let pap = dot partials p ap in
       if not (Float.is_finite pap) || pap <= 0.0 then
         breakdown :=
@@ -318,7 +318,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) () =
       if !breakdown = None then breakdown := Some "non-finite iterate"
     end;
     (* true residual for the report *)
-    Sparse.mul_par m x ap;
+    Stencil.mul_par m x ap;
     let res = ref 0.0 in
     for i = 0 to n - 1 do
       let d = b.(i) -. ap.(i) in
@@ -390,7 +390,7 @@ type escalation = {
    Each rung starts from a fresh x0: a warm start that led the first
    attempt into breakdown must not steer the retries too. *)
 let solve_escalating m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond () =
-  let n = Sparse.dim m in
+  let n = Stencil.dim m in
   let base_iter = match max_iter with Some k -> k | None -> 4 * n in
   let first = solve m ~b ~tol ~max_iter:base_iter ?x0 ?precond () in
   if first.converged then

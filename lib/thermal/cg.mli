@@ -79,7 +79,7 @@ val histories_json : unit -> Obs.Json.t
     [{"label","warm_start","iterations","converged","breakdown",
       "residual_stride","residuals"}]. *)
 
-val solve : Sparse.t -> b:float array -> ?tol:float -> ?max_iter:int ->
+val solve : Stencil.t -> b:float array -> ?tol:float -> ?max_iter:int ->
   ?x0:float array -> ?precond:precond -> ?label:string -> unit -> outcome
 (** Defaults: [tol] {!default_tol}, [max_iter] 4 * dim, [x0] zero,
     [precond] {!Jacobi}. Raises [Invalid_argument] on dimension mismatch,
@@ -122,7 +122,7 @@ type escalation = {
       the first attempt converged *)
 }
 
-val solve_escalating : Sparse.t -> b:float array -> ?tol:float ->
+val solve_escalating : Stencil.t -> b:float array -> ?tol:float ->
   ?max_iter:int -> ?x0:float array -> ?precond:precond -> unit -> escalation
 (** {!solve} wrapped in a breakdown-recovery ladder. A failed first
     attempt (breakdown or max-iter exit) is retried cold through

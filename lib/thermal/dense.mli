@@ -7,7 +7,7 @@
 type t
 (** A factored SPD matrix. *)
 
-val of_sparse : Sparse.t -> t
+val of_stencil : Stencil.t -> t
 (** Densify and factor. Raises [Failure] if the matrix is not positive
     definite. Meant for dimensions up to a few thousand. *)
 

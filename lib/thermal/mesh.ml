@@ -9,7 +9,7 @@ let default_config = { nx = 40; ny = 40; stack = Stack.default_9layer }
 type problem = {
   p_config : config;
   p_extent : Geo.Rect.t;
-  p_matrix : Sparse.t;
+  p_matrix : Stencil.t;
   p_rhs : float array;
   p_cold_iters : int option ref;
   (* iterations of the first cold solve of this matrix, shared across every
@@ -56,77 +56,94 @@ let vertical_conductance ~area_m2 (a : Stack.layer) (b : Stack.layer) =
 (* Lateral conductance inside one layer: uniform k, full cell pitch. *)
 let lateral_conductance ~k ~cross_m2 ~pitch_m = k *. cross_m2 /. pitch_m
 
-(* Conductance-matrix assembly. The matrix depends only on (config, extent)
-   — power enters through the rhs alone — which is what makes the matrix
-   cache below sound. *)
-let assemble_builder cfg ~extent =
+(* Conductance-matrix assembly, straight into the stencil arrays in one
+   pass. The matrix depends only on (config, extent) — power enters
+   through the rhs alone — which is what makes the matrix cache below
+   sound. Each off-diagonal is one coupling, -g. Each diagonal adds its
+   conductances to 0.0 in a fixed order: below, south, west, east, north,
+   above, bottom sink, top sink, x side wall, y side wall. That is the
+   order a node-by-node triplet assembly meets them, and the golden tests
+   pin the resulting bits. *)
+(* Row [i]'s coupling of conductance [g] to the neighbour held in
+   [coef]: the off-diagonal is -g, and [d], the diagonal so far, grows
+   by g. *)
+let couple coef i g d =
+  coef.(i) <- -.g;
+  d +. g
+
+(* A conductance to ambient joins the diagonal only where it applies and
+   is positive. *)
+let sink applies g d = if applies && g > 0.0 then d +. g else d
+
+let assemble_raw cfg ~extent =
   let stack = cfg.stack in
+  let nx = cfg.nx and ny = cfg.ny in
   let nz = Stack.num_layers stack in
-  let n = cfg.nx * cfg.ny * nz in
-  let dx = um_to_m (Geo.Rect.width extent /. float_of_int cfg.nx) in
-  let dy = um_to_m (Geo.Rect.height extent /. float_of_int cfg.ny) in
+  let dx = um_to_m (Geo.Rect.width extent /. float_of_int nx) in
+  let dy = um_to_m (Geo.Rect.height extent /. float_of_int ny) in
   let tile_area = dx *. dy in
-  let b = Sparse.builder ~n in
-  let couple i j g =
-    Sparse.add b i i g;
-    Sparse.add b j j g;
-    Sparse.add b i j (-.g);
-    Sparse.add b j i (-.g)
+  let layers = stack.Stack.layers in
+  let dz iz = um_to_m layers.(iz).Stack.thickness_um in
+  let lateral iz ~cross_m2 ~pitch_m =
+    lateral_conductance ~k:layers.(iz).Stack.conductivity_w_mk ~cross_m2
+      ~pitch_m
   in
-  let ground i g = if g > 0.0 then Sparse.add b i i g in
+  let gx =
+    Array.init nz (fun iz -> lateral iz ~cross_m2:(dy *. dz iz) ~pitch_m:dx)
+  in
+  let gy =
+    Array.init nz (fun iz -> lateral iz ~cross_m2:(dx *. dz iz) ~pitch_m:dy)
+  in
+  (* gz.(iz): between layers iz and iz + 1 *)
+  let gz =
+    Array.init (nz - 1) (fun iz ->
+        vertical_conductance ~area_m2:tile_area layers.(iz) layers.(iz + 1))
+  in
+  let g_bottom = stack.Stack.h_bottom_w_m2k *. tile_area in
+  let g_top = stack.Stack.h_top_w_m2k *. tile_area in
+  let h_side = stack.Stack.h_side_w_m2k in
+  let a = Stencil.create ~nx ~ny ~nz in
   for iz = 0 to nz - 1 do
-    let layer = stack.Stack.layers.(iz) in
-    let dz = um_to_m layer.Stack.thickness_um in
-    let k = layer.Stack.conductivity_w_mk in
-    for iy = 0 to cfg.ny - 1 do
-      for ix = 0 to cfg.nx - 1 do
-        let i = node_index cfg ~ix ~iy ~iz in
-        (* lateral east and north couplings (west/south added by peers) *)
-        if ix + 1 < cfg.nx then
-          couple i (node_index cfg ~ix:(ix + 1) ~iy ~iz)
-            (lateral_conductance ~k ~cross_m2:(dy *. dz) ~pitch_m:dx);
-        if iy + 1 < cfg.ny then
-          couple i (node_index cfg ~ix ~iy:(iy + 1) ~iz)
-            (lateral_conductance ~k ~cross_m2:(dx *. dz) ~pitch_m:dy);
-        (* vertical coupling upward *)
-        if iz + 1 < nz then
-          couple i (node_index cfg ~ix ~iy ~iz:(iz + 1))
-            (vertical_conductance ~area_m2:tile_area layer
-               stack.Stack.layers.(iz + 1));
-        (* boundary conductances to ambient *)
-        if iz = 0 then ground i (stack.Stack.h_bottom_w_m2k *. tile_area);
-        if iz = nz - 1 then ground i (stack.Stack.h_top_w_m2k *. tile_area);
-        let h_side = stack.Stack.h_side_w_m2k in
-        if h_side > 0.0 then begin
-          if ix = 0 || ix = cfg.nx - 1 then ground i (h_side *. dy *. dz);
-          if iy = 0 || iy = cfg.ny - 1 then ground i (h_side *. dx *. dz)
-        end
+    let side_x = h_side *. dy *. dz iz and side_y = h_side *. dx *. dz iz in
+    for iy = 0 to ny - 1 do
+      for ix = 0 to nx - 1 do
+        let i = (((iz * ny) + iy) * nx) + ix in
+        let d = 0.0 in
+        let d = if iz > 0 then couple a.Stencil.below i gz.(iz - 1) d else d in
+        let d = if iy > 0 then couple a.Stencil.south i gy.(iz) d else d in
+        let d = if ix > 0 then couple a.Stencil.west i gx.(iz) d else d in
+        let d = if ix + 1 < nx then couple a.Stencil.east i gx.(iz) d else d in
+        let d = if iy + 1 < ny then couple a.Stencil.north i gy.(iz) d else d in
+        let d = if iz + 1 < nz then couple a.Stencil.above i gz.(iz) d else d in
+        let d = sink (iz = 0) g_bottom d in
+        let d = sink (iz = nz - 1) g_top d in
+        let d = sink (ix = 0 || ix = nx - 1) side_x d in
+        let d = sink (iy = 0 || iy = ny - 1) side_y d in
+        a.Stencil.diag.(i) <- d
       done
     done
   done;
-  (b, n)
+  a
 
-(* Fault-free assembly, used for the coarse multigrid operators: coarse
-   levels are internal rediscretizations, so a Perturb_matrix fault must
-   hit the fine system the caller actually solves, not be consumed (and
-   possibly crash the coarse Cholesky) several levels down. *)
-let assemble_raw cfg ~extent =
-  let b, _n = assemble_builder cfg ~extent in
-  Sparse.of_builder b
-
+(* Fault-injecting assembly of the primary solve path. The fault-free
+   [assemble_raw] serves the coarse multigrid operators: coarse levels are
+   internal rediscretizations, so a Perturb_matrix fault must hit the fine
+   system the caller actually solves, not be consumed (and possibly crash
+   the coarse Cholesky) several levels down. *)
 let assemble cfg ~extent =
-  let b, n = assemble_builder cfg ~extent in
-  (* fault hook: one asymmetric off-diagonal spike breaks SPD-ness, which
-     the CG breakdown guards and Postplace.Checks must both catch *)
-  if n > 1 && Robust.Faults.consume Robust.Faults.Perturb_matrix then
-    Sparse.add b 0 1 1.0e9;
-  Sparse.of_builder b
+  let a = assemble_raw cfg ~extent in
+  (* fault hook: one asymmetric off-diagonal spike at entry (0,1) breaks
+     SPD-ness, which the CG breakdown guards and Postplace.Checks must
+     both catch *)
+  if Stencil.dim a > 1 && Robust.Faults.consume Robust.Faults.Perturb_matrix
+  then Stencil.add a 0 1 1.0e9;
+  a
 
 (* MRU cache of assembled matrices keyed by (config, extent), both plain
    structural data. An optimizer run or sweep rebuilds the same mesh for
    every candidate power map; only the rhs actually changes. *)
 type cache_entry = {
-  ce_matrix : Sparse.t;
+  ce_matrix : Stencil.t;
   ce_cold_iters : int option ref;
   ce_mg : Multigrid.t option ref;
   ce_blur : Blur.t option ref;
@@ -172,9 +189,9 @@ let cache_remove key =
 (* a deliberately wrong-sized entry, substituted on a cache hit by the
    [Stale_mesh_cache] fault to prove the defensive check below fires *)
 let stale_probe () =
-  let b = Sparse.builder ~n:1 in
-  Sparse.add b 0 0 1.0;
-  { ce_matrix = Sparse.of_builder b; ce_cold_iters = ref None;
+  let a = Stencil.create ~nx:1 ~ny:1 ~nz:1 in
+  Stencil.add a 0 0 1.0;
+  { ce_matrix = a; ce_cold_iters = ref None;
     ce_mg = ref None; ce_blur = ref None }
 
 let build ?(cache = true) cfg ~power =
@@ -207,13 +224,13 @@ let build ?(cache = true) cfg ~power =
            dimension disagrees with the requested mesh would crash deep
            inside CG (or worse, silently solve the wrong system) — evict
            and reassemble instead *)
-        if Sparse.dim e.ce_matrix <> n then begin
+        if Stencil.dim e.ce_matrix <> n then begin
           Obs.Metrics.count "thermal.mesh.cache.stale";
           Obs.Log.warn
             (Printf.sprintf
                "Mesh.build: cached matrix has dim %d, expected %d; evicting \
                 and reassembling"
-               (Sparse.dim e.ce_matrix) n);
+               (Stencil.dim e.ce_matrix) n);
           cache_remove key;
           cache_insert key
             { ce_matrix = assemble cfg ~extent; ce_cold_iters = ref None;
@@ -242,15 +259,12 @@ let build ?(cache = true) cfg ~power =
 
 let multigrid p =
   match !(p.p_mg) with
-  | Some h when Multigrid.fine_dim h = Sparse.dim p.p_matrix -> h
+  | Some h when Multigrid.fine_dim h = Stencil.dim p.p_matrix -> h
   | _ ->
     let cfg = p.p_config in
     let h =
-      Multigrid.build ~fine:p.p_matrix ~nx:cfg.nx ~ny:cfg.ny
-        ~nz:(Stack.num_layers cfg.stack)
-        ~assemble:(fun ~nx ~ny ->
-            assemble_raw { cfg with nx; ny } ~extent:p.p_extent)
-        ()
+      Multigrid.build ~fine:p.p_matrix ~assemble:(fun ~nx ~ny ->
+          assemble_raw { cfg with nx; ny } ~extent:p.p_extent)
     in
     (* benign race: two domains may build concurrently and the later write
        wins, but both hierarchies come from the same matrix so either is

@@ -49,7 +49,7 @@ val cache_capacity : int
     cache evicts the least-recently-used entry, counted in
     [thermal.mesh.cache.evictions]. *)
 
-val matrix : problem -> Sparse.t
+val matrix : problem -> Stencil.t
 val rhs : problem -> float array
 val config : problem -> config
 val extent : problem -> Geo.Rect.t
@@ -60,7 +60,7 @@ val with_rhs : problem -> float array -> problem
     the objective gradient as a source term into the same SPD operator.
     Raises [Invalid_argument] on a dimension mismatch. *)
 
-val assemble_raw : config -> extent:Geo.Rect.t -> Sparse.t
+val assemble_raw : config -> extent:Geo.Rect.t -> Stencil.t
 (** Fault-free, cache-free assembly of the conductance matrix alone. For
     derived operators ([Transient]'s backward-Euler shifted matrix and
     its coarse multigrid levels) that must rediscretize the same stack

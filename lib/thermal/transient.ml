@@ -31,19 +31,15 @@ let node_capacitances cfg ~extent material =
   c
 
 (* The backward-Euler operator G + C/dt for one (config, extent): the
-   fault-free conductance assembly plus the capacitance diagonal. Used
-   for the fine system and, rediscretized at halved lateral resolution,
-   for the coarse multigrid levels. *)
+   fault-free conductance assembly with the capacitance added to its
+   diagonal. Used for the fine system and, rediscretized at halved
+   lateral resolution, for the coarse multigrid levels. *)
 let shifted_matrix cfg ~extent ~material ~dt_s =
-  let g = Mesh.assemble_raw cfg ~extent in
+  let a = Mesh.assemble_raw cfg ~extent in
   let caps = node_capacitances cfg ~extent material in
-  let n = Sparse.dim g in
-  let b = Sparse.builder ~n in
-  for i = 0 to n - 1 do
-    Sparse.iter_row g i ~f:(fun j v -> Sparse.add b i j v);
-    Sparse.add b i i (caps.(i) /. dt_s)
-  done;
-  (Sparse.of_builder b, caps)
+  let diag = a.Stencil.diag in
+  Array.iteri (fun i c -> diag.(i) <- diag.(i) +. (c /. dt_s)) caps;
+  (a, caps)
 
 (* Backward Euler: (G + C/dt) T_{k+1} = P + (C/dt) T_k. The shifted matrix
    is SPD whenever G is, so CG applies; consecutive steps warm-start. *)
@@ -67,19 +63,16 @@ let step_response cfg ~power ?(material = default_capacitance)
      hierarchy (when requested) is built on the shifted operator itself,
      with coarse levels rediscretizing G + C/dt at halved resolution *)
   let shifted, caps = shifted_matrix cfg ~extent ~material ~dt_s in
-  let n = Sparse.dim shifted in
+  let n = Stencil.dim shifted in
   let step_precond =
     match precond with
     | Mesh.Pc_jacobi -> Cg.Jacobi
     | Mesh.Pc_ssor -> Cg.Ssor Cg.ssor_omega
     | Mesh.Pc_mg ->
       let h =
-        Multigrid.build ~fine:shifted ~nx:cfg.Mesh.nx ~ny:cfg.Mesh.ny
-          ~nz:(Stack.num_layers cfg.Mesh.stack)
-          ~assemble:(fun ~nx ~ny ->
-              let coarse = { cfg with Mesh.nx; ny } in
-              fst (shifted_matrix coarse ~extent ~material ~dt_s))
-          ()
+        Multigrid.build ~fine:shifted ~assemble:(fun ~nx ~ny ->
+            let coarse = { cfg with Mesh.nx; ny } in
+            fst (shifted_matrix coarse ~extent ~material ~dt_s))
       in
       Cg.Multigrid h
   in

@@ -151,18 +151,22 @@ let test_set_jobs_validation () =
    | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "default >= 1" true (Parallel.Pool.default_jobs () >= 1)
 
-(* A diagonally dominant tridiagonal system large enough to cross the
+(* A diagonally dominant 2-D 5-point system large enough to cross the
    solver's parallel threshold, so the pooled SpMV / dot / axpy paths
    really execute. The solve must be bit-identical for any pool size. *)
 let test_cg_bit_identical_across_jobs () =
-  let n = 250_000 in
-  let b = Thermal.Sparse.builder ~n in
+  let nx = 500 and ny = 500 in
+  let n = nx * ny in
+  let m = Thermal.Stencil.create ~nx ~ny ~nz:1 in
   for i = 0 to n - 1 do
-    Thermal.Sparse.add b i i 4.0;
-    if i > 0 then Thermal.Sparse.add b i (i - 1) (-1.0);
-    if i < n - 1 then Thermal.Sparse.add b i (i + 1) (-1.0)
+    Thermal.Stencil.add m i i 6.0;
+    List.iter
+      (fun j ->
+         Thermal.Stencil.add m i j (-1.0);
+         Thermal.Stencil.add m j i (-1.0))
+      ((if (i + 1) mod nx <> 0 then [ i + 1 ] else [])
+       @ if i + nx < n then [ i + nx ] else [])
   done;
-  let m = Thermal.Sparse.of_builder b in
   let rhs = Array.init n (fun i -> sin (float_of_int (i mod 997))) in
   Parallel.Pool.set_jobs 1;
   let seq = Thermal.Cg.solve m ~b:rhs () in
@@ -255,19 +259,21 @@ let test_cross_domain_trace () =
            stats.Obs.Perfetto.events
        | Error e -> Alcotest.failf "perfetto export invalid: %s" e)
 
+(* An i+-2 band is a 2 x k grid coupled only along y; at 2 x 102400 it
+   crosses the parallel threshold, so [mul_par] really chunks. *)
 let test_mul_par_matches_mul () =
-  let n = 4096 in
-  let b = Thermal.Sparse.builder ~n in
+  let nx = 2 and ny = 102_400 in
+  let n = nx * ny in
+  let m = Thermal.Stencil.create ~nx ~ny ~nz:1 in
   for i = 0 to n - 1 do
-    Thermal.Sparse.add b i i 3.0;
-    if i > 1 then Thermal.Sparse.add b i (i - 2) 0.5;
-    if i < n - 2 then Thermal.Sparse.add b i (i + 2) 0.5
+    Thermal.Stencil.add m i i 3.0;
+    if i > 1 then Thermal.Stencil.add m i (i - 2) 0.5;
+    if i < n - 2 then Thermal.Stencil.add m i (i + 2) 0.5
   done;
-  let m = Thermal.Sparse.of_builder b in
   let x = Array.init n (fun i -> cos (float_of_int i /. 11.0)) in
   let y1 = Array.make n 0.0 and y2 = Array.make n 0.0 in
-  Thermal.Sparse.mul m x y1;
-  with_jobs 4 (fun () -> Thermal.Sparse.mul_par m x y2);
+  Thermal.Stencil.mul m x y1;
+  with_jobs 4 (fun () -> Thermal.Stencil.mul_par m x y2);
   Alcotest.(check bool) "mul_par bit-identical to mul" true (y1 = y2)
 
 let () =
