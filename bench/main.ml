@@ -1269,7 +1269,10 @@ let run_fft () =
    candidate at once, where the greedy peak guide pays a rank-tolerance
    solve per chunk. Validates the adjoint against a superposition
    central difference, times adjoint vs forward cost, then runs the
-   optimizer head-to-head at the production 160x160 grid. *)
+   optimizer head-to-head at the production 160x160 grid: exact greedy
+   and the gradient guide on the exact screen tier, then the gradient
+   guide on the default tier, whose spectral realization must commit the
+   same plan with a parity of at most 1e-6. *)
 
 let run_adjoint () =
   header "ADJOINT SENSITIVITY -- gradient-guided whitespace allocation"
@@ -1351,7 +1354,21 @@ let run_adjoint () =
   Thermal.Mesh.cache_clear ();
   let r_ad_cold, t_ad_cold = time (fun () -> run fl_grad) in
   let r_ad_warm, t_ad_warm = time (fun () -> run fl_grad) in
+  (* the same guide on the default screen tier: the spectral realization,
+     on the meshes the exact runs left in the cache *)
+  let r_sp, t_sp =
+    time (fun () ->
+        run { fl_grad with Postplace.Flow.screen = Postplace.Flow.Screen_auto })
+  in
   Parallel.Pool.set_jobs saved_jobs;
+  let inserted r =
+    r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
+  in
+  let spectral_plan_agrees = inserted r_sp = inserted r_ad_warm in
+  let spectral_parity = r_sp.Postplace.Optimizer.spectral_parity_rel in
+  let spectral_parity_ok =
+    match spectral_parity with Some p -> p <= 1e-6 | None -> false
+  in
   let greedy_evals = r_gr_warm.Postplace.Optimizer.evaluations in
   let grad_evals = r_ad_warm.Postplace.Optimizer.evaluations in
   let grad_adjoints = r_ad_warm.Postplace.Optimizer.adjoint_evaluations in
@@ -1379,6 +1396,19 @@ let run_adjoint () =
     solve_ratio_ge_3x;
   Printf.printf "check: gradient peak within +0.05 K of greedy:   %b\n"
     peak_within_tol;
+  Printf.printf
+    "  gradient, spectral   warm %8.1f ms  (%d solves + %d adjoints, %d \
+     spectral), parity %s\n"
+    (t_sp *. 1e3) r_sp.Postplace.Optimizer.evaluations
+    r_sp.Postplace.Optimizer.adjoint_evaluations
+    r_sp.Postplace.Optimizer.blur_evaluations
+    (match spectral_parity with
+     | Some p -> Printf.sprintf "%.2e" p
+     | None -> "none");
+  Printf.printf "check: spectral plan = exact-screen plan:        %b\n"
+    spectral_plan_agrees;
+  Printf.printf "check: spectral parity <= 1e-6:                  %b\n"
+    spectral_parity_ok;
   let counter name =
     match Obs.Metrics.counter_value name with
     | None -> Obs.Json.Null
@@ -1416,7 +1446,10 @@ let run_adjoint () =
            ("greedy_peak_k", j_f peak_gr);
            ("gradient_peak_k", j_f peak_ad);
            ("peak_delta_k", j_f peak_delta);
-           ("peak_within_tol", j_b peak_within_tol) ]);
+           ("peak_within_tol", j_b peak_within_tol);
+           ("gradient_spectral_warm_ms", j_f (t_sp *. 1e3));
+           ("spectral_plan_agrees", j_b spectral_plan_agrees);
+           ("spectral_parity_ok", j_b spectral_parity_ok) ]);
       ("telemetry",
        j_obj
          [ ("adjoint_solves", counter "thermal.adjoint.solves");

@@ -459,9 +459,10 @@ let guide_arg =
   let doc =
     "Optimizer candidate-ranking signal: $(b,peak) (evaluate each \
      candidate's predicted peak temperature — the paper's scheme) or \
-     $(b,gradient) (one adjoint sensitivity solve per round prices every \
-     candidate from the dT_peak/d(power) map; only the committed chunk \
-     is confirmed exactly — far fewer solves at matched quality)."
+     $(b,gradient) (one sensitivity map per round prices every candidate \
+     from the dT_peak/d(power) map — spectral under the fft screen tier, \
+     an adjoint solve under the exact one — far fewer solves at matched \
+     quality)."
   in
   Arg.(value & opt (enum Flow.guides) Flow.Guide_peak
        & info [ "guide" ] ~docv:"G" ~doc)
@@ -544,6 +545,15 @@ let run_optimize obs design screen guide rows jobs =
               Obs.Json.Int r.Postplace.Optimizer.adjoint_evaluations);
              ("predicted_peak_k",
               Obs.Json.Float r.Postplace.Optimizer.predicted_peak_k);
+             ("realization",
+              match r.Postplace.Optimizer.realization with
+              | Some re ->
+                Obs.Json.String (Postplace.Optimizer.realization_name re)
+              | None -> Obs.Json.Null);
+             ("spectral_parity_rel",
+              match r.Postplace.Optimizer.spectral_parity_rel with
+              | Some p -> Obs.Json.Float p
+              | None -> Obs.Json.Null);
              ("inserted_after",
               Obs.Json.List
                 (List.map (fun i -> Obs.Json.Int i)

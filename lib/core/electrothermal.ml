@@ -23,7 +23,7 @@ let rise_lookup thermal pl cid =
   | Some (ix, iy) -> Geo.Grid.get thermal ~ix ~iy
   | None -> 0.0
 
-let evaluate_gen flow pl ~max_iter ~tol_k =
+let evaluate flow pl ?(max_iter = 12) ?(tol_k = 1e-3) () =
   let report = flow.Flow.power_report in
   let tech = flow.Flow.tech in
   let open_loop = solve_with flow pl report.Power.Model.per_cell_w in
@@ -61,43 +61,3 @@ let evaluate_gen flow pl ~max_iter ~tol_k =
     else iterate thermal' peak (iter + 1)
   in
   iterate open_loop open_loop_peak_k 0
-
-let evaluate flow pl ?(max_iter = 12) ?(tol_k = 1e-3) () =
-  evaluate_gen flow pl ~max_iter ~tol_k
-
-(* Shrink the sink until the loop stops converging; bisect the boundary. *)
-let runaway_sink_w_m2k flow pl =
-  let with_sink h =
-    { flow with
-      Flow.mesh_config =
-        { flow.Flow.mesh_config with
-          Thermal.Mesh.stack =
-            Thermal.Stack.with_sink
-              flow.Flow.mesh_config.Thermal.Mesh.stack ~h_top_w_m2k:h } }
-  in
-  let ok h =
-    match evaluate_gen (with_sink h) pl ~max_iter:20 ~tol_k:0.01 with
-    | r -> r.converged
-    | exception
-        Robust.Error.Error
-          (Robust.Error.Invariant_violation _ | Robust.Error.Solver_diverged _)
-      -> false
-  in
-  let h0 = flow.Flow.mesh_config.Thermal.Mesh.stack.Thermal.Stack.h_top_w_m2k in
-  (* find a failing lower bound *)
-  let rec descend h =
-    if h < 1.0 then 1.0 else if ok h then descend (h /. 4.0) else h
-  in
-  let bad = descend h0 in
-  if bad >= h0 then h0
-  else begin
-    let rec bisect lo hi n =
-      (* invariant: lo fails, hi converges *)
-      if n = 0 || (hi -. lo) /. hi < 0.05 then hi
-      else begin
-        let mid = 0.5 *. (lo +. hi) in
-        if ok mid then bisect lo mid (n - 1) else bisect mid hi (n - 1)
-      end
-    in
-    bisect bad (Float.min h0 (bad *. 4.0)) 12
-  end

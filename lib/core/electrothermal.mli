@@ -30,8 +30,3 @@ val evaluate : Flow.t -> Place.Placement.t -> ?max_iter:int ->
     ["electrothermal.runaway"]) if the iteration diverges — peak rise
     grows past 200 K, thermal runaway, which a sane package never
     reaches here. *)
-
-val runaway_sink_w_m2k : Flow.t -> Place.Placement.t -> float
-(** Bisection estimate of the weakest top-side sink conductance for which
-    the feedback still converges — the thermal-runaway boundary of the
-    design. Exposed for the package-exploration experiment. *)

@@ -16,7 +16,10 @@ type screen_choice = Screen_auto | Screen_fft | Screen_exact
     exact MG-CG solver; [Screen_exact] solves every candidate exactly;
     [Screen_auto] (the default) picks fft unless a fault is armed —
     injected faults must reach the exact solve path they target, so
-    fault-injected runs always fall back to exact screening. *)
+    fault-injected runs always fall back to exact screening. Under
+    [Guide_gradient] the same choice selects the thermal operator: fft
+    runs the spectral realization (when the stencil admits one), exact
+    the CG one. *)
 
 val screens : (string * screen_choice) list
 (** Every screening tier by name: ["auto"], ["fft"], ["exact"]. The CLI
@@ -29,11 +32,12 @@ type guide_choice = Guide_peak | Guide_gradient
 (** How the optimizer ranks whitespace-allocation candidates.
     [Guide_peak] (the paper's scheme) evaluates candidates by their
     predicted peak temperature — exact or screened thermal solves per
-    candidate. [Guide_gradient] ranks every candidate from one adjoint
-    sensitivity solve at the incumbent ({!Thermal.Adjoint}): the
-    per-tile [dT_peak/d(power)] map prices each candidate's power
-    redistribution without any per-candidate solve, and only the
-    committed winner is confirmed exactly. *)
+    candidate. [Guide_gradient] ranks every candidate from one
+    sensitivity map per round at the incumbent: the per-tile
+    [dT_peak/d(power)] map prices each candidate's power redistribution
+    without any per-candidate solve. The map comes from the spectral
+    transfer or an adjoint solve ({!Thermal.Adjoint}), see
+    [Optimizer.greedy_rows]. *)
 
 val guides : (string * guide_choice) list
 (** Every ranking signal by name: ["peak"], ["gradient"]. *)

@@ -98,9 +98,6 @@ let to_json h =
       ("cells", Obs.Json.Int (List.length h.cells));
       ("peak_rise_k", Obs.Json.Float h.peak_rise_k) ]
 
-let total_cells hs =
-  List.fold_left (fun acc h -> acc + List.length h.cells) 0 hs
-
 let span_rows fp h =
   let rh = fp.Place.Floorplan.tech.Celllib.Tech.row_height_um in
   (* floor, not int_of_float: truncation rounds toward zero, so a rect

@@ -26,8 +26,6 @@ val to_json : t -> Obs.Json.t
 (** Bounding rect (µm), area, tile/cell counts and peak rise — the hotspot
     summary embedded in {!Obs.Report} run reports. *)
 
-val total_cells : t list -> int
-
 val span_rows : Place.Floorplan.t -> t -> int * int
 (** Inclusive row range covered by the hotspot rectangle (clamped to the
     core). *)

@@ -1,9 +1,28 @@
+type exact_reason = Screen_exact | Faults_armed | Non_uniform | Parity
+
+type realization = Spectral | Exact of exact_reason
+
+let realization_labels = function
+  | Spectral -> [ ("realization", "spectral"); ("reason", "uniform") ]
+  | Exact reason ->
+    [ ("realization", "exact");
+      ( "reason",
+        match reason with
+        | Screen_exact -> "screen_exact"
+        | Faults_armed -> "faults_armed"
+        | Non_uniform -> "non_uniform"
+        | Parity -> "parity" ) ]
+
+let realization_name r = List.assoc "realization" (realization_labels r)
+
 type result = {
   plan : Technique.eri_result;
   predicted_peak_k : float;
   evaluations : int;
   blur_evaluations : int;
   adjoint_evaluations : int;
+  realization : realization option;
+  spectral_parity_rel : float option;
 }
 
 let peak_of flow pl ~nx =
@@ -42,35 +61,47 @@ let trial_power flow ~after ~nx =
   Power.Map.power_map r.Technique.eri_placement
     ~per_cell_w:flow.Flow.per_cell_w ~nx ~ny:nx
 
-(* One candidate evaluation, warm-started from the incumbent temperature
-   field [x0]. All trial placements share the die extent (same number of
-   inserted rows), so every solve in a round reuses one cached matrix and
-   a good starting point — most of the optimizer's speedup lives here. *)
-let eval_trial_sol flow ~after ~nx ~x0 ~tol =
+(* The thermal problem of a trial plan on the [nx] x [nx] evaluation
+   mesh, with its power map. All trial placements with the same number of
+   inserted rows share the die extent, so their builds share one cached
+   matrix. *)
+let trial_problem flow ~after ~nx =
+  let cfg = { flow.Flow.mesh_config with Thermal.Mesh.nx; ny = nx } in
+  let power = trial_power flow ~after ~nx in
+  (power, Thermal.Mesh.build cfg ~power)
+
+(* The flow's preconditioner for a trial problem; the ranking SSOR by
+   default. *)
+let trial_precond flow problem =
+  match flow.Flow.mesh_precond with
+  | Some choice -> Thermal.Mesh.precond_of_choice problem choice
+  | None -> eval_precond
+
+(* One exact solve of a trial problem, optionally warm-started from the
+   incumbent temperature field [x0] — most of the optimizer's speedup
+   lives in warm starts on a shared matrix. *)
+let solve_trial flow problem ~x0 ~tol =
   (* cancellation point: candidate solves run at millisecond granularity,
      so a deadline abort requested by the serve watchdog lands here *)
   Robust.Cancel.check ();
-  let cfg = { flow.Flow.mesh_config with Thermal.Mesh.nx; ny = nx } in
-  let power = trial_power flow ~after ~nx in
-  let problem = Thermal.Mesh.build cfg ~power in
-  let precond =
-    match flow.Flow.mesh_precond with
-    | Some choice -> Thermal.Mesh.precond_of_choice problem choice
-    | None -> eval_precond
+  let solution =
+    Thermal.Mesh.solve ~tol ~precond:(trial_precond flow problem) ?x0 problem
   in
-  let solution = Thermal.Mesh.solve ~tol ~precond ?x0 problem in
   let peak =
     (Thermal.Metrics.of_map (Thermal.Mesh.active_layer_grid solution))
       .Thermal.Metrics.peak_rise_k
   in
   (peak, solution)
 
+let eval_trial_sol flow ~after ~nx ~x0 ~tol =
+  solve_trial flow (snd (trial_problem flow ~after ~nx)) ~x0 ~tol
+
 let eval_trial flow ~after ~nx ~x0 ~tol =
   let peak, solution = eval_trial_sol flow ~after ~nx ~x0 ~tol in
   (peak, solution.Thermal.Mesh.temp)
 
-(* The blur kernel is characterized from a fault-free exact solve and
-   then trusted for thousands of evaluations, so any armed fault —
+(* The spectral kernel is built once per mesh and then trusted for
+   thousands of evaluations, so under [Screen_auto] any armed fault —
    whichever stage it targets — forces the exact tier: injected faults
    must reach the solve path they are aimed at, not be blurred away. *)
 let screening_enabled flow =
@@ -80,18 +111,20 @@ let screening_enabled flow =
   | Flow.Screen_auto ->
     not (List.exists Robust.Faults.armed Robust.Faults.all)
 
+(* Candidate insertion positions: every [stride]-th row of the base
+   floorplan. *)
+let candidate_rows flow ~stride =
+  let num_rows =
+    flow.Flow.base_placement.Place.Placement.fp.Place.Floorplan.num_rows
+  in
+  List.init ((num_rows + stride - 1) / stride) (fun i -> i * stride)
+
 (* The paper's scheme: rank candidates by their (screened or exact)
    predicted peak. *)
 let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
   Obs.Trace.with_span "optimizer.greedy_rows" @@ fun () ->
   let base = flow.Flow.base_placement in
-  let num_rows = base.Place.Placement.fp.Place.Floorplan.num_rows in
-  let candidates =
-    let rec collect r acc = if r >= num_rows then List.rev acc
-      else collect (r + stride) (r :: acc)
-    in
-    collect 0 []
-  in
+  let candidates = candidate_rows flow ~stride in
   let num_cands = List.length candidates in
   (* screening pays one kernel characterization per round; with no more
      candidates than leaders every candidate gets an exact solve anyway,
@@ -127,8 +160,8 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
       if screen then begin
         Obs.Trace.with_span "optimizer.screen" @@ fun () ->
         (* every trial in this round shares (config, extent), so the
-           kernel characterized from the first candidate's mesh serves
-           all of them (and is cached on the mesh MRU entry) *)
+           kernel of the first candidate's mesh serves all of them (and
+           is cached on the mesh MRU entry) *)
         let first = List.hd candidates in
         let first_power =
           trial_power flow ~after:(trial_of first) ~nx:coarse_nx
@@ -227,17 +260,18 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
   in
   incr evaluations;
   { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
-    blur_evaluations = !blur_evaluations; adjoint_evaluations = 0 }
+    blur_evaluations = !blur_evaluations; adjoint_evaluations = 0;
+    realization = None; spectral_parity_rel = None }
 
 (* ---- Gradient guide ----------------------------------------------------
 
-   One adjoint solve at the incumbent prices *every* candidate: the
+   One sensitivity map at the incumbent prices *every* candidate: the
    adjoint field lambda satisfies G lambda = df/dT, so for any trial
    power map P the smoothed peak is, to first order,
    f(P) ~ f(P_inc) + <lambda, P - P_inc>. The incumbent term is common
    to all candidates of a round, so ranking by <lambda, P_c> needs no
-   per-candidate solve at all — only the committed chunk is confirmed
-   with one exact (rank-tolerance) re-solve. *)
+   per-candidate solve at all. lambda on the power layer comes from an
+   adjoint CG solve (Exact) or from the spectral transfer (Spectral). *)
 
 (* <sensitivity, power>: the candidate's first-order objective up to the
    round-constant incumbent term. Both grids live on the coarse
@@ -321,60 +355,132 @@ let allocate scores ~step ~prepass_steps =
     largest_remainder !x ~total:step
   end
 
-let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx ~prepass_steps =
-  Obs.Trace.with_span "optimizer.gradient_rows" @@ fun () ->
-  let base = flow.Flow.base_placement in
-  let num_rows = base.Place.Placement.fp.Place.Floorplan.num_rows in
-  let candidates =
-    let rec collect r acc = if r >= num_rows then List.rev acc
-      else collect (r + stride) (r :: acc)
-    in
-    Array.of_list (collect 0 [])
+(* Work spent by a gradient run, across realizations: a spectral attempt
+   abandoned on parity keeps its count. *)
+type tally = {
+  mutable exact_solves : int;
+  mutable adjoint_solves : int;
+  mutable spectral_applications : int;
+}
+
+(* The thermal operator the gradient loop is written against: the
+   smoothed-peak sensitivity map at the incumbent plan, a hook run after
+   each committed chunk, and the confirmed peak of the final plan. *)
+type operator = {
+  sensitivity : int list -> Geo.Grid.t;
+  committed : int list -> unit;
+  confirm : int list -> float;
+}
+
+(* A spectral run that cannot finish hands over to Exact with a reason. *)
+exception Fall_back of exact_reason
+
+(* Exact: CG forward and adjoint solves on the cached mesh. The seed
+   problem is the empty plan's, built once by the caller; the incumbent's
+   rank-tolerance solution doubles as the adjoint's forward input and
+   the warm start of the next confirmation, and each adjoint warm-starts
+   from the previous round's lambda (the softmax source drifts slowly
+   between nearby plans). *)
+let exact_operator flow ~nx ~seed tally =
+  let _, sol0 = solve_trial flow seed ~x0:None ~tol:rank_tol in
+  tally.exact_solves <- tally.exact_solves + 1;
+  let incumbent = ref sol0 in
+  let lambda = ref None in
+  let warm () = Some !incumbent.Thermal.Mesh.temp in
+  { sensitivity =
+      (fun rev_plan ->
+         let _, problem = trial_problem flow ~after:rev_plan ~nx in
+         let adj =
+           Thermal.Adjoint.solve ~tol:rank_tol
+             ~precond:(trial_precond flow problem) ?x0:!lambda
+             ~forward:!incumbent problem
+         in
+         tally.adjoint_solves <- tally.adjoint_solves + 1;
+         lambda := Some adj.Thermal.Adjoint.lambda;
+         adj.Thermal.Adjoint.sensitivity);
+    committed =
+      (fun rev_plan ->
+         let _, sol =
+           eval_trial_sol flow ~after:rev_plan ~nx ~x0:(warm ()) ~tol:rank_tol
+         in
+         tally.exact_solves <- tally.exact_solves + 1;
+         incumbent := sol);
+    confirm =
+      (fun plan ->
+         let peak, _ =
+           eval_trial flow ~after:plan ~nx ~x0:(warm ())
+             ~tol:Thermal.Cg.default_tol
+         in
+         tally.exact_solves <- tally.exact_solves + 1;
+         peak) }
+
+(* The largest relative gap between the spectral and the confirmed peak
+   a spectral run may show before its plan is recomputed on Exact. *)
+let parity_tol = 1e-6
+
+(* Spectral: the analytic power-layer transfer of each round's mesh
+   gives the sensitivity with two FFT applications
+   ([Thermal.Adjoint.spectral_sensitivity]) — no solve per round, and
+   nothing to confirm between rounds. The final plan gets one cold
+   full-tolerance exact solve, checked against its spectral peak. *)
+let spectral_operator flow ~nx tally ~parity =
+  let kernel problem =
+    match Thermal.Mesh.analytic_blur problem with
+    | Ok k -> k
+    | Error _ -> raise (Fall_back Non_uniform)
   in
-  let evaluations = ref 0 in
-  let adjoint_evaluations = ref 0 in
+  { sensitivity =
+      (fun rev_plan ->
+         let power, problem = trial_problem flow ~after:rev_plan ~nx in
+         tally.spectral_applications <- tally.spectral_applications + 2;
+         Thermal.Adjoint.spectral_sensitivity (kernel problem) ~power);
+    committed = (fun _ -> ());
+    confirm =
+      (fun plan ->
+         let power, problem = trial_problem flow ~after:plan ~nx in
+         let peak, _ =
+           solve_trial flow problem ~x0:None ~tol:Thermal.Cg.default_tol
+         in
+         tally.exact_solves <- tally.exact_solves + 1;
+         let spectral = Thermal.Blur.peak (kernel problem) ~power in
+         tally.spectral_applications <- tally.spectral_applications + 1;
+         let rel = Float.abs (spectral -. peak) /. Float.abs peak in
+         parity := Some rel;
+         Obs.Metrics.gauge "optimizer.spectral_parity_rel" rel;
+         if not (rel <= parity_tol) then begin
+           Obs.Log.warn
+             (Printf.sprintf
+                "Optimizer: spectral peak %.17g K is %.3g off the confirmed \
+                 %.17g K (tolerance %g); recomputing the plan on the exact \
+                 operator"
+                spectral rel peak parity_tol);
+           raise (Fall_back Parity)
+         end;
+         peak) }
+
+(* DiffChip's forward/adjoint loop, once for either operator: price
+   every candidate by the inner product of the sensitivity map with its
+   re-binned power map (no solve — the thermal system is linear, so the
+   inner product is the candidate's first-order peak up to a
+   round-constant), allocate the chunk, commit it. *)
+let gradient_loop flow op ~rows ~chunk ~stride ~nx ~prepass_steps =
+  let base = flow.Flow.base_placement in
+  let candidates = Array.of_list (candidate_rows flow ~stride) in
   let rev_plan = ref [] in
   let remaining = ref rows in
-  let cfg =
-    { flow.Flow.mesh_config with Thermal.Mesh.nx = coarse_nx; ny = coarse_nx }
-  in
-  (* the incumbent's rank-tolerance solution doubles as the adjoint's
-     forward input and the warm start of the next round's confirmation *)
-  let _, sol0 = eval_trial_sol flow ~after:[] ~nx:coarse_nx ~x0:None
-      ~tol:rank_tol
-  in
-  incr evaluations;
-  let incumbent = ref sol0 in
-  (* warm-start the adjoint iteration from the previous round's lambda:
-     the softmax source drifts slowly between nearby plans *)
-  let lambda = ref None in
   while !remaining > 0 do
     Robust.Cancel.check ();
     let step = min chunk !remaining in
-    let inc_power = trial_power flow ~after:!rev_plan ~nx:coarse_nx in
-    let problem = Thermal.Mesh.build cfg ~power:inc_power in
-    let precond =
-      match flow.Flow.mesh_precond with
-      | Some choice -> Thermal.Mesh.precond_of_choice problem choice
-      | None -> eval_precond
-    in
-    let adj =
-      Thermal.Adjoint.solve ~tol:rank_tol ~precond ?x0:!lambda
-        ~forward:!incumbent problem
-    in
-    incr adjoint_evaluations;
-    lambda := Some adj.Thermal.Adjoint.lambda;
-    let sens = adj.Thermal.Adjoint.sensitivity in
+    let sens = op.sensitivity !rev_plan in
     let trial_of cand =
       List.rev_append (List.init step (fun _ -> cand)) !rev_plan
     in
-    (* price every candidate with re-binned power only — no solves; the
-       pool parallelism is over the re-binning, order is preserved *)
+    (* the pool parallelism is over the re-binning; order is preserved *)
     let scores =
       Array.of_list
         (Parallel.Pool.map_list (Array.to_list candidates) ~f:(fun cand ->
              sensitivity_score sens
-               (trial_power flow ~after:(trial_of cand) ~nx:coarse_nx)))
+               (trial_power flow ~after:(trial_of cand) ~nx)))
     in
     let counts = allocate scores ~step ~prepass_steps in
     Array.iteri
@@ -383,25 +489,47 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx ~prepass_steps =
            rev_plan :=
              List.rev_append (List.init n (fun _ -> candidates.(i))) !rev_plan)
       counts;
-    (* confirm the committed chunk with one exact (rank-tolerance) solve,
-       warm-started from the incumbent field *)
-    let _, sol =
-      eval_trial_sol flow ~after:!rev_plan ~nx:coarse_nx
-        ~x0:(Some (!incumbent).Thermal.Mesh.temp) ~tol:rank_tol
-    in
-    incr evaluations;
-    incumbent := sol;
+    op.committed !rev_plan;
     remaining := !remaining - step
   done;
   let plan_list = List.rev !rev_plan in
-  let final = Technique.apply_row_insertions base plan_list in
-  let peak, _ =
-    eval_trial flow ~after:plan_list ~nx:coarse_nx
-      ~x0:(Some (!incumbent).Thermal.Mesh.temp) ~tol:Thermal.Cg.default_tol
+  (Technique.apply_row_insertions base plan_list, op.confirm plan_list)
+
+let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx:nx ~prepass_steps =
+  Obs.Trace.with_span "optimizer.gradient_rows" @@ fun () ->
+  let tally =
+    { exact_solves = 0; adjoint_solves = 0; spectral_applications = 0 }
   in
-  incr evaluations;
-  { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
-    blur_evaluations = 0; adjoint_evaluations = !adjoint_evaluations }
+  let parity = ref None in
+  (* the empty plan's problem: the spectral realization's uniformity
+     probe and the exact realization's seed, built once so an armed
+     fault fires exactly where it always has *)
+  let _, seed = trial_problem flow ~after:[] ~nx in
+  (* counted as each realization starts, so a run that ends in a
+     structured solver error still reports which one it was *)
+  let start realization operator =
+    Obs.Metrics.count "optimizer.realization"
+      ~labels:(realization_labels realization);
+    (realization,
+     gradient_loop flow (operator ()) ~rows ~chunk ~stride ~nx ~prepass_steps)
+  in
+  let exact reason =
+    start (Exact reason) (fun () -> exact_operator flow ~nx ~seed tally)
+  in
+  let realization, (plan, peak) =
+    match flow.Flow.screen with
+    | Flow.Screen_exact -> exact Screen_exact
+    | _ when not (screening_enabled flow) -> exact Faults_armed
+    | _ when Result.is_error (Thermal.Mesh.analytic_blur seed) ->
+      exact Non_uniform
+    | _ ->
+      (try start Spectral (fun () -> spectral_operator flow ~nx tally ~parity)
+       with Fall_back reason -> exact reason)
+  in
+  { plan; predicted_peak_k = peak; evaluations = tally.exact_solves;
+    blur_evaluations = tally.spectral_applications;
+    adjoint_evaluations = tally.adjoint_solves;
+    realization = Some realization; spectral_parity_rel = !parity }
 
 let greedy_rows flow ~rows ?(chunk = 4) ?(stride = 4) ?(coarse_nx = 20)
     ?(leaders = 3) ?(prepass_steps = 8) () =

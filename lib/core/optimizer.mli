@@ -9,17 +9,43 @@
     lowest peak temperature wins. This is slower than plain ERI but needs
     no hotspot heuristics and handles multiple competing warm regions. *)
 
+type exact_reason =
+  | Screen_exact  (** the flow's screen tier is [Screen_exact] *)
+  | Faults_armed  (** [Screen_auto] with a fault armed *)
+  | Non_uniform
+  (** the mesh stencil has no analytic transfer
+      ({!Thermal.Mesh.analytic_blur}): non-zero side walls, a perturbed
+      matrix *)
+  | Parity
+  (** the spectral run's final peak disagreed with its exact confirm by
+      more than 1e-6 relative, so the plan was recomputed on Exact *)
+
+type realization = Spectral | Exact of exact_reason
+(** The thermal operator a gradient-guided run priced candidates with. *)
+
+val realization_name : realization -> string
+(** ["spectral"] or ["exact"]. *)
+
 type result = {
   plan : Technique.eri_result;      (** the chosen insertions applied *)
   predicted_peak_k : float;         (** coarse-mesh peak of the final plan *)
   evaluations : int;
-  (** exact thermal solves spent (initial seed, candidate/leader solves
-      and the final re-score; kernel characterization solves are traced
-      separately as [thermal.blur.characterize]) *)
+  (** exact CG solves spent: seed, candidate/leader solves, confirms and
+      the final re-score (a characterized blur kernel's impulse solve is
+      traced separately as [thermal.blur.characterize]) *)
   blur_evaluations : int;
-  (** FFT blur screenings spent; 0 when the exact tier ran *)
+  (** spectral applications: FFT blur screenings under the peak guide,
+      transfer applications under the gradient guide's spectral
+      realization; 0 when only exact solves ran *)
   adjoint_evaluations : int;
-  (** adjoint sensitivity solves spent; 0 under [Guide_peak] *)
+  (** CG adjoint solves spent; 0 under [Guide_peak] and under the
+      spectral realization *)
+  realization : realization option;
+  (** the gradient guide's operator; [None] under [Guide_peak] *)
+  spectral_parity_rel : float option;
+  (** relative gap between the spectral and the confirmed peak of the
+      spectral run's final plan; [None] when no spectral run finished
+      its rounds *)
 }
 
 val greedy_rows :
@@ -57,20 +83,37 @@ val greedy_rows :
     exact winner. Screening is skipped when a round has no more
     candidates than [leaders].
 
-    When the flow's [guide] is {!Flow.Guide_gradient}, the per-candidate
-    solves disappear entirely: each round runs one adjoint sensitivity
-    solve at the incumbent ({!Thermal.Adjoint}), prices every candidate
-    by the inner product of the adjoint map with its re-binned power map
-    (no solve — the thermal system is linear, so the inner product is
-    the candidate's first-order peak up to a round-constant), allocates
+    When the flow's [guide] is {!Flow.Guide_gradient}, the
+    per-candidate solves disappear: each round computes the sensitivity
+    of a log-sum-exp peak at the incumbent plan, prices every candidate
+    by the inner product of that map with its re-binned power map (no
+    solve — the thermal system is linear, so the inner product is the
+    candidate's first-order peak up to a round-constant), and allocates
     the chunk across candidates with a continuous projected-gradient
     pre-pass of [prepass_steps] iterations (default 8; 0 reduces to the
-    peak guide's argmin move) rounded by largest remainder, and confirms
-    the committed chunk with a single exact warm-started solve. Exact
-    solves per run drop from O(rounds * candidates) to [rounds + 2]
-    (seed and final re-score) plus [rounds] adjoint solves. [leaders] is
-    ignored in this mode; selection remains deterministic for any pool
-    size. *)
+    peak guide's argmin move) rounded by largest remainder. [leaders] is
+    ignored in this mode; selection is deterministic for any pool size.
+    The sensitivity comes from one of two realizations of the thermal
+    operator, reported in [realization] and counted in the
+    [optimizer.realization{realization, reason}] metric as each starts
+    (a spectral run that falls back counts both; a run that ends in a
+    structured solver error still counts the one it was on):
+
+    - [Spectral], when the screen tier resolves to fft and the mesh
+      stencil is laterally uniform ({!Thermal.Mesh.analytic_blur}): the
+      incumbent field and the sensitivity are two applications of the
+      analytic power-layer transfer per round. No CG solve runs between
+      rounds; the final plan gets one cold full-tolerance exact solve,
+      so a run spends 1 exact solve and no adjoint. The confirmed peak
+      is compared with the spectral peak of the same plan
+      ([spectral_parity_rel], gauge [optimizer.spectral_parity_rel]);
+      above 1e-6 relative a warning is logged and the run is redone on
+      [Exact].
+    - [Exact] otherwise: each round runs one warm-started adjoint solve
+      at the incumbent ({!Thermal.Adjoint}) and confirms the committed
+      chunk with one exact warm-started rank-tolerance solve, so a run
+      spends [rounds + 2] exact solves (seed and final re-score) plus
+      [rounds] adjoint solves. *)
 
 val evaluate_plan : Flow.t -> after:int list -> nx:int -> float
 (** Peak temperature rise (K) of the base placement with the given

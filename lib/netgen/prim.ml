@@ -9,7 +9,6 @@ let and2 t a b = B.add_gate t K.And2 [| a; b |]
 let or2 t a b = B.add_gate t K.Or2 [| a; b |]
 let xor2 t a b = B.add_gate t K.Xor2 [| a; b |]
 let xnor2 t a b = B.add_gate t K.Xnor2 [| a; b |]
-let nand2 t a b = B.add_gate t K.Nand2 [| a; b |]
 let nor2 t a b = B.add_gate t K.Nor2 [| a; b |]
 let mux2 t ~a ~b ~sel = B.add_gate t K.Mux2 [| a; b; sel |]
 

@@ -12,7 +12,6 @@ val and2 : Netlist.Builder.t -> net -> net -> net
 val or2 : Netlist.Builder.t -> net -> net -> net
 val xor2 : Netlist.Builder.t -> net -> net -> net
 val xnor2 : Netlist.Builder.t -> net -> net -> net
-val nand2 : Netlist.Builder.t -> net -> net -> net
 val nor2 : Netlist.Builder.t -> net -> net -> net
 val mux2 : Netlist.Builder.t -> a:net -> b:net -> sel:net -> net
 (** [mux2 ~a ~b ~sel] is [a] when [sel]=0, [b] when [sel]=1. *)

@@ -27,7 +27,6 @@ let create () =
     const_true = None; const_false = None }
 
 let set_unit_tag t tag = t.tag <- tag
-let current_unit_tag t = t.tag
 
 let grow_cells t =
   if t.n_cells = Array.length t.cells then begin

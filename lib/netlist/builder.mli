@@ -12,8 +12,6 @@ val set_unit_tag : t -> int -> unit
 (** Tag attached to every cell and primary input created from now on;
     -1 (the initial value) means untagged. *)
 
-val current_unit_tag : t -> int
-
 val add_input : ?name:string -> t -> Types.net_id
 (** Fresh primary input net. *)
 

@@ -4,12 +4,6 @@ type issue =
   | Dangling_net of Types.net_id
   | Floating_net of Types.net_id
 
-let pp_issue ppf = function
-  | Arity_mismatch id -> Format.fprintf ppf "cell %d: arity mismatch" id
-  | Driver_inconsistent id -> Format.fprintf ppf "net %d: driver inconsistent" id
-  | Dangling_net id -> Format.fprintf ppf "net %d: dangling" id
-  | Floating_net id -> Format.fprintf ppf "net %d: floating (no sinks)" id
-
 let run (nl : Types.t) =
   let issues = ref [] in
   let report i = issues := i :: !issues in

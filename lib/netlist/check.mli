@@ -6,8 +6,6 @@ type issue =
   | Dangling_net of Types.net_id   (** no driver reference resolves back *)
   | Floating_net of Types.net_id   (** no sinks and not a primary output *)
 
-val pp_issue : Format.formatter -> issue -> unit
-
 val run : Types.t -> issue list
 (** All detected issues; the empty list means the netlist is well-formed.
     [Floating_net] is a warning-grade issue (a generator may legitimately

@@ -14,8 +14,6 @@ val fill : Placement.t -> filler list
 (** Cover every free site of every row with the fewest fillers from the
     library's width set (greedy, largest first). *)
 
-val total_filler_sites : filler list -> int
-
 val covers_all_gaps : Placement.t -> filler list -> bool
 (** True when fillers plus cells tile every row exactly (the electrical
     continuity property). *)

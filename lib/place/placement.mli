@@ -31,7 +31,6 @@ val net_hpwl : t -> Netlist.Types.net_id -> float
 val hpwl : t -> float
 (** Total half-perimeter wire length, µm. *)
 
-val total_cell_area : t -> float
 val utilization : t -> float
 
 type violation =

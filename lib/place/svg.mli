@@ -10,8 +10,6 @@ type overlay = {
   outlines : Geo.Rect.t list;      (** dashed rectangles (e.g. hotspots) *)
 }
 
-val no_overlay : overlay
-
 val to_string : ?scale:float -> ?fillers:Filler.filler list ->
   ?overlay:overlay -> Placement.t -> string
 (** [scale] is SVG pixels per µm (default 4). *)

@@ -28,33 +28,37 @@ type t = {
   cg_iterations : int;
 }
 
-(* Stabilized log-sum-exp over the active layer of a solution's field. *)
-let smoothed_peak ~sharpness (s : Mesh.solution) =
+let check_sharpness what sharpness =
   if not (Float.is_finite sharpness) || sharpness <= 0.0 then
-    invalid_arg "Adjoint.smoothed_peak: sharpness must be positive";
-  let cfg = s.Mesh.config in
-  let zp = cfg.Mesh.stack.Stack.power_layer in
-  let tmax = ref neg_infinity in
-  for iy = 0 to cfg.Mesh.ny - 1 do
-    for ix = 0 to cfg.Mesh.nx - 1 do
-      let v = s.Mesh.temp.(Mesh.node_index cfg ~ix ~iy ~iz:zp) in
-      if v > !tmax then tmax := v
-    done
-  done;
-  let sum = ref 0.0 in
-  for iy = 0 to cfg.Mesh.ny - 1 do
-    for ix = 0 to cfg.Mesh.nx - 1 do
-      let v = s.Mesh.temp.(Mesh.node_index cfg ~ix ~iy ~iz:zp) in
-      sum := !sum +. exp (sharpness *. (v -. !tmax))
-    done
-  done;
-  !tmax +. (log !sum /. sharpness)
+    invalid_arg (what ^ ": sharpness must be positive")
+
+(* Hard peak and stabilized log-sum-exp of an active-layer field; the sum
+   runs in grid order. *)
+let lse ~sharpness field =
+  let peak = Geo.Grid.max_value field in
+  let sum =
+    Geo.Grid.fold field ~init:0.0 ~f:(fun acc v ->
+        acc +. exp (sharpness *. (v -. peak)))
+  in
+  (peak, sum)
+
+let spectral_sensitivity ?(sharpness = default_sharpness) kernel ~power =
+  check_sharpness "Adjoint.spectral_sensitivity" sharpness;
+  let field = Blur.field kernel ~power in
+  let peak, sum = lse ~sharpness field in
+  Blur.field kernel
+    ~power:
+      (Geo.Grid.map field ~f:(fun v -> exp (sharpness *. (v -. peak)) /. sum))
+
+let smoothed_peak ~sharpness s =
+  check_sharpness "Adjoint.smoothed_peak" sharpness;
+  let peak, sum = lse ~sharpness (Mesh.active_layer_grid s) in
+  peak +. (log sum /. sharpness)
 
 let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
     ?precond ?x0 ?forward p =
   Obs.Trace.with_span "thermal.adjoint.solve" @@ fun () ->
-  if not (Float.is_finite sharpness) || sharpness <= 0.0 then
-    invalid_arg "Adjoint.solve: sharpness must be positive";
+  check_sharpness "Adjoint.solve" sharpness;
   let n = Array.length (Mesh.rhs p) in
   let fwd =
     match forward with
@@ -69,31 +73,15 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
   | Ok fwd ->
     let cfg = Mesh.config p in
     let zp = cfg.Mesh.stack.Stack.power_layer in
-    let peak_rise_k = ref neg_infinity in
-    for iy = 0 to cfg.Mesh.ny - 1 do
-      for ix = 0 to cfg.Mesh.nx - 1 do
-        let v = fwd.Mesh.temp.(Mesh.node_index cfg ~ix ~iy ~iz:zp) in
-        if v > !peak_rise_k then peak_rise_k := v
-      done
-    done;
-    let sum = ref 0.0 in
-    for iy = 0 to cfg.Mesh.ny - 1 do
-      for ix = 0 to cfg.Mesh.nx - 1 do
-        let v = fwd.Mesh.temp.(Mesh.node_index cfg ~ix ~iy ~iz:zp) in
-        sum := !sum +. exp (sharpness *. (v -. !peak_rise_k))
-      done
-    done;
-    let smoothed_peak_k = !peak_rise_k +. (log !sum /. sharpness) in
+    let field = Mesh.active_layer_grid fwd in
+    let peak_rise_k, sum = lse ~sharpness field in
+    let smoothed_peak_k = peak_rise_k +. (log sum /. sharpness) in
     (* adjoint source: df/dT = softmax weights on the active layer, zero
        on every other node *)
     let rhs = Array.make n 0.0 in
-    for iy = 0 to cfg.Mesh.ny - 1 do
-      for ix = 0 to cfg.Mesh.nx - 1 do
-        let node = Mesh.node_index cfg ~ix ~iy ~iz:zp in
-        rhs.(node) <-
-          exp (sharpness *. (fwd.Mesh.temp.(node) -. !peak_rise_k)) /. !sum
-      done
-    done;
+    Geo.Grid.iteri field ~f:(fun ~ix ~iy v ->
+        rhs.(Mesh.node_index cfg ~ix ~iy ~iz:zp) <-
+          exp (sharpness *. (v -. peak_rise_k)) /. sum);
     (match Mesh.solve_result ~tol ?precond ?x0 (Mesh.with_rhs p rhs) with
      | Error e -> Error e
      | Ok adj ->
@@ -107,9 +95,9 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
        Obs.Metrics.observe "thermal.adjoint.peak_sensitivity_k_per_w"
          (Geo.Grid.max_value sensitivity);
        Obs.Metrics.observe "thermal.adjoint.smoothing_gap_k"
-         (smoothed_peak_k -. !peak_rise_k);
+         (smoothed_peak_k -. peak_rise_k);
        Ok
-         { forward = fwd; sharpness; peak_rise_k = !peak_rise_k;
+         { forward = fwd; sharpness; peak_rise_k;
            smoothed_peak_k; lambda = adj.Mesh.temp; sensitivity;
            cg_iterations = adj.Mesh.cg_iterations })
 

@@ -41,6 +41,16 @@ val smoothed_peak : sharpness:float -> Mesh.solution -> float
     forward solves with exactly the smoothing the adjoint
     differentiates. Raises [Invalid_argument] unless [sharpness > 0]. *)
 
+val spectral_sensitivity :
+  ?sharpness:float -> Blur.t -> power:Geo.Grid.t -> Geo.Grid.t
+(** The per-tile sensitivity map of {!solve_result}, without a solve,
+    through an exact power-layer transfer K ({!Blur.of_stencil}): the
+    active-layer field is [K power], and since K is a principal
+    submatrix of the symmetric [G^-1], the adjoint restricted to the
+    power layer is K applied to the objective's softmax weights — two
+    FFT applications. Raises [Invalid_argument] unless [sharpness > 0]
+    (default {!default_sharpness}) or on a grid mismatch. *)
+
 val solve_result :
   ?tol:float -> ?sharpness:float -> ?precond:Cg.precond ->
   ?x0:float array -> ?forward:Mesh.solution -> Mesh.problem ->

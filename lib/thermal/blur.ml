@@ -92,6 +92,157 @@ let of_response ~response =
   { b_nx = nx; b_ny = ny; b_extent = Geo.Grid.extent response;
     b_mx = mx; b_my = my; b_hx = hx; b_k_re = k_re; b_k_im = k_im }
 
+(* --- analytic transfer --------------------------------------------------
+
+   A laterally uniform stencil — every layer couples its tiles through one
+   gx and one gy, layers couple through one gz, and each layer's diagonal
+   is its couplings plus one sink shared by every tile — is diagonalized by
+   the product DCT-II in x and y, the cosine basis of the adiabatic
+   (half-sample Neumann) walls: the x-mode k has eigenvalue
+   lambda = 2 - 2 cos (pi k / nx) of the 1-D Neumann Laplacian. Mode
+   (kx, ky) then leaves a tridiagonal system in z,
+
+     A = tridiag(-gz(z-1), gx(z) lx + gy(z) ly + gz(z-1) + gz(z) + s(z),
+                 -gz(z)),
+
+   and the power-layer transfer is the (zp, zp) entry of its inverse. The
+   DCT-II mode extends evenly to DFT modes k and 2n - k of the half-sample
+   extension, so that entry is exactly the (real, symmetric) extended
+   transfer [of_response] recovers by deconvolution — here without any
+   solve. *)
+
+(* Per-layer coefficients read back from a laterally uniform stencil, or
+   the first violation found. Couplings must be equal bit for bit (the
+   assembly writes one value per layer and axis); each diagonal must equal
+   its couplings plus the layer's sink up to the rounding of the two sums
+   (16 ulps of the diagonal). *)
+type layers = {
+  l_gx : float array;
+  l_gy : float array;
+  l_gz : float array; (* nz - 1 inter-layer couplings *)
+  l_sink : float array;
+}
+
+let uniform_layers (a : Stencil.t) =
+  let nx = a.Stencil.nx and ny = a.Stencil.ny and nz = a.Stencil.nz in
+  let nxy = nx * ny in
+  let exception Non_uniform of string in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Non_uniform m)) fmt in
+  (* every entry of [coef] over tiles [x0..x1] x [y0..y1] of layer [iz]
+     equals [c] *)
+  let same what coef (c : float) iz ~x0 ~x1 ~y0 ~y1 =
+    for iy = y0 to y1 do
+      for ix = x0 to x1 do
+        if coef.((iz * nxy) + (iy * nx) + ix) <> c then
+          fail "%s coupling differs in layer %d at tile (%d, %d)" what iz ix
+            iy
+      done
+    done
+  in
+  try
+    if nx < 2 || ny < 2 then fail "grid smaller than 2x2";
+    let gx = Array.init nz (fun iz -> -.a.Stencil.east.(iz * nxy)) in
+    let gy = Array.init nz (fun iz -> -.a.Stencil.north.(iz * nxy)) in
+    let gz = Array.init (nz - 1) (fun iz -> -.a.Stencil.above.(iz * nxy)) in
+    let x1 = nx - 1 and y1 = ny - 1 in
+    for iz = 0 to nz - 1 do
+      let cx = -.gx.(iz) and cy = -.gy.(iz) in
+      if iz > 0 then
+        same "below" a.Stencil.below (-.gz.(iz - 1)) iz ~x0:0 ~x1 ~y0:0 ~y1;
+      same "south" a.Stencil.south cy iz ~x0:0 ~x1 ~y0:1 ~y1;
+      same "west" a.Stencil.west cx iz ~x0:1 ~x1 ~y0:0 ~y1;
+      same "east" a.Stencil.east cx iz ~x0:0 ~x1:(x1 - 1) ~y0:0 ~y1;
+      same "north" a.Stencil.north cy iz ~x0:0 ~x1 ~y0:0 ~y1:(y1 - 1);
+      if iz < nz - 1 then
+        same "above" a.Stencil.above (-.gz.(iz)) iz ~x0:0 ~x1 ~y0:0 ~y1
+    done;
+    (* the diagonal less its couplings, summed in the assembly's order:
+       below, south, west, east, north, above *)
+    let rest = Array.make (Stencil.dim a) 0.0 in
+    let sink = Array.make nz 0.0 in
+    for iz = 0 to nz - 1 do
+      let total = ref 0.0 in
+      for iy = 0 to y1 do
+        for ix = 0 to x1 do
+          let i = (iz * nxy) + (iy * nx) + ix in
+          let c = 0.0 in
+          let c = if iz > 0 then c +. gz.(iz - 1) else c in
+          let c = if iy > 0 then c +. gy.(iz) else c in
+          let c = if ix > 0 then c +. gx.(iz) else c in
+          let c = if ix < x1 then c +. gx.(iz) else c in
+          let c = if iy < y1 then c +. gy.(iz) else c in
+          let c = if iz < nz - 1 then c +. gz.(iz) else c in
+          rest.(i) <- a.Stencil.diag.(i) -. c;
+          total := !total +. rest.(i)
+        done
+      done;
+      sink.(iz) <- !total /. float_of_int nxy
+    done;
+    for i = 0 to Stencil.dim a - 1 do
+      let d = a.Stencil.diag.(i) and iz = i / nxy in
+      if not (d > 0.0) then fail "non-positive diagonal at node %d" i;
+      if Float.abs (rest.(i) -. sink.(iz)) > 16.0 *. epsilon_float *. d then
+        fail "sink differs in layer %d at tile (%d, %d)" iz (i mod nx)
+          (i / nx mod ny)
+    done;
+    Ok { l_gx = gx; l_gy = gy; l_gz = gz; l_sink = sink }
+  with Non_uniform m -> Error m
+
+let of_stencil a ~power_layer ~extent =
+  match uniform_layers a with
+  | Error _ as e -> e
+  | Ok l ->
+    let nx = a.Stencil.nx and ny = a.Stencil.ny and nz = a.Stencil.nz in
+    if power_layer < 0 || power_layer >= nz then
+      invalid_arg "Blur.of_stencil: power layer out of range";
+    Obs.Trace.with_span "thermal.blur.analytic" @@ fun () ->
+    (* 2 - 2 cos (pi k / n), written as 4 sin^2 (pi k / 2n) so low modes
+       keep their digits *)
+    let lambda n =
+      Array.init n (fun k ->
+          let s = sin (Float.pi *. float_of_int k /. float_of_int (2 * n)) in
+          4.0 *. s *. s)
+    in
+    let lx = lambda nx and ly = lambda ny in
+    let zp = power_layer in
+    (* [A^-1](zp, zp) = 1 / (a(zp) - below - above): Thomas elimination
+       from the bottom up to zp and from the top down to it, the two
+       Schur complements meeting at the power layer *)
+    let diag_at iz ~lx ~ly =
+      (l.l_gx.(iz) *. lx) +. (l.l_gy.(iz) *. ly)
+      +. (if iz > 0 then l.l_gz.(iz - 1) else 0.0)
+      +. (if iz < nz - 1 then l.l_gz.(iz) else 0.0)
+      +. l.l_sink.(iz)
+    in
+    let transfer ~lx ~ly =
+      let below = ref 0.0 in
+      for iz = 0 to zp - 1 do
+        let piv = diag_at iz ~lx ~ly -. !below in
+        below := l.l_gz.(iz) *. l.l_gz.(iz) /. piv
+      done;
+      let above = ref 0.0 in
+      for iz = nz - 1 downto zp + 1 do
+        let piv = diag_at iz ~lx ~ly -. !above in
+        above := l.l_gz.(iz - 1) *. l.l_gz.(iz - 1) /. piv
+      done;
+      1.0 /. (diag_at zp ~lx ~ly -. !below -. !above)
+    in
+    let mx = 2 * nx and my = 2 * ny and hx = nx + 1 in
+    let k_re = Array.make (hx * my) 0.0 in
+    (* the kx = nx and ky = ny modes stay zero, as in [of_response]: no
+       even-extended field has content there *)
+    for kx = 0 to nx - 1 do
+      for ky = 0 to ny - 1 do
+        let h = transfer ~lx:lx.(kx) ~ly:ly.(ky) in
+        k_re.((kx * my) + ky) <- h;
+        if ky > 0 then k_re.((kx * my) + my - ky) <- h
+      done
+    done;
+    Obs.Metrics.count "thermal.blur.kernels";
+    Ok
+      { b_nx = nx; b_ny = ny; b_extent = extent; b_mx = mx; b_my = my;
+        b_hx = hx; b_k_re = k_re; b_k_im = Array.make (hx * my) 0.0 }
+
 (* Apply the transfer to the even-extended [power]; [emit] receives every
    output cell of the logical nx x ny window (extension indices < n). All
    scratch is local, so a shared [t] can be evaluated concurrently from

@@ -2,23 +2,32 @@
     Temperature Profile Calculation in IC Chips"), sharpened into an
     exact spectral transfer: for the linear steady-state RC network the
     active-layer temperature rise is a convolution of the power map with
-    the network's point-source response. Characterize that response once
-    with the full MG-CG solver (see {!Mesh.blur}) and every subsequent
-    candidate power map costs a single O(n log n) FFT pass instead of an
-    iterative solve.
+    the network's point-source response, so every candidate power map
+    costs a single O(n log n) FFT pass instead of an iterative solve.
 
-    The stack's lateral stencil is translation-invariant and the die
-    walls are adiabatic by default ([h_side_w_m2k = 0] — Neumann BC via
-    half-sample reflection), so on the 2n-periodic even extension of the
-    die the power-to-temperature map is a true cyclic convolution. The
-    kernel spectrum is recovered by *deconvolving* the characterized
-    corner-impulse response by the impulse's own spectrum, which makes
-    evaluation exact for the discrete operator: blurred fields match
-    full solves to characterization tolerance (~1e-9 relative), not just
-    to a screening tolerance. If the stack is configured with non-zero
-    side-wall conductance the boundary stencil loses translation
-    invariance and evaluations degrade to estimates; rank-then-re-score
-    (what [Optimizer.greedy_rows] does under the fft screen tier) keeps
+    The kernel comes from one of two places:
+
+    - {!of_stencil} computes it analytically. When the assembled stencil
+      is laterally uniform (one coupling per layer and axis, one sink per
+      layer, adiabatic side walls), the product DCT in x and y
+      diagonalizes the operator and each mode (kx, ky) leaves a
+      tridiagonal system in z whose inverse's power-layer entry is the
+      transfer — one small elimination per mode, no solve. The same scan
+      verifies the uniformity it relies on and reports the first
+      violation.
+    - {!of_response} deconvolves a characterized impulse response (one
+      full MG-CG solve; see {!Mesh.blur}), the fallback for stencils the
+      check rejects.
+
+    With adiabatic walls ([h_side_w_m2k = 0] — Neumann BC via
+    half-sample reflection) the power-to-temperature map is a true cyclic
+    convolution on the 2n-periodic even extension of the die, so both
+    kernels are exact for the discrete operator: the analytic one to
+    rounding, the characterized one to its solve tolerance. With non-zero
+    side-wall conductance the boundary breaks translation invariance,
+    {!of_stencil} refuses, and a characterized kernel's evaluations
+    degrade to estimates; rank-then-re-score (what
+    [Optimizer.greedy_rows] does under the fft screen tier) keeps
     committed plans exact either way.
 
     Evaluation uses a Hermitian half-spectrum pipeline on the 2nx x 2ny
@@ -28,8 +37,8 @@
     same way — roughly halving the FFT count per candidate. Extension
     lengths are rarely powers of two; the {!Fft} Bluestein path handles
     them without padding (padding would break the exact cyclicity). A
-    [t] is immutable after characterization and safe to share across
-    pool workers; every evaluation allocates its own scratch. *)
+    [t] is immutable once built and safe to share across pool workers;
+    every evaluation allocates its own scratch. *)
 
 type t
 
@@ -40,6 +49,19 @@ val of_response : response:Geo.Grid.t -> t
     (zero only on modes every even-extended field lacks), and the result
     is stored transformed — the only FFT-of-the-kernel ever paid. Raises
     [Invalid_argument] on grids smaller than 2x2. *)
+
+val of_stencil :
+  Stencil.t -> power_layer:int -> extent:Geo.Rect.t -> (t, string) result
+(** The analytic transfer of a laterally uniform stencil to and from
+    layer [power_layer], over a die of [extent]. [Error] names the first
+    violation of uniformity: a grid smaller than 2x2, a coupling that
+    differs from its layer's (an armed [Perturb_matrix] fault), a
+    diagonal that is not its couplings plus the layer's sink up to the
+    rounding of the sums (non-zero side walls), or a non-positive
+    diagonal. The kx = nx and ky = ny modes are zero, as in
+    {!of_response}. Traced as [thermal.blur.analytic]; counts
+    [thermal.blur.kernels] like {!of_response}. Raises
+    [Invalid_argument] when [power_layer] is not a layer. *)
 
 val nx : t -> int
 val ny : t -> int

@@ -18,10 +18,13 @@ type problem = {
   p_mg : Multigrid.t option ref;
   (* lazily built multigrid hierarchy for this matrix, shared the same way
      so an optimizer run builds it once per cached mesh *)
+  p_analytic : (Blur.t, string) result option ref;
+  (* lazily computed analytic transfer (or the reason the stencil has
+     none), shared across the cache entry like the hierarchy *)
   p_blur : Blur.t option ref;
-  (* lazily characterized power-blurring kernel (unit-impulse response),
-     shared across the cache entry so screening pays characterization once
-     per (config, extent) *)
+  (* lazily characterized power-blurring kernel (unit-impulse response)
+     for stencils without an analytic transfer, shared the same way so
+     screening pays characterization once per (config, extent) *)
 }
 
 let matrix p = p.p_matrix
@@ -146,8 +149,13 @@ type cache_entry = {
   ce_matrix : Stencil.t;
   ce_cold_iters : int option ref;
   ce_mg : Multigrid.t option ref;
+  ce_analytic : (Blur.t, string) result option ref;
   ce_blur : Blur.t option ref;
 }
+
+let fresh_entry matrix =
+  { ce_matrix = matrix; ce_cold_iters = ref None; ce_mg = ref None;
+    ce_analytic = ref None; ce_blur = ref None }
 
 (* 8 slots cover the optimizer (one extent per inserted-row count) plus
    a package sweep; an entry also carries the MG hierarchy and the blur
@@ -191,8 +199,7 @@ let cache_remove key =
 let stale_probe () =
   let a = Stencil.create ~nx:1 ~ny:1 ~nz:1 in
   Stencil.add a 0 0 1.0;
-  { ce_matrix = a; ce_cold_iters = ref None;
-    ce_mg = ref None; ce_blur = ref None }
+  fresh_entry a
 
 let build ?(cache = true) cfg ~power =
   Obs.Trace.with_span "thermal.mesh.build" @@ fun () ->
@@ -209,8 +216,7 @@ let build ?(cache = true) cfg ~power =
        both directions: the poisoned matrix must not be published for later
        healthy builds, and a healthy cached matrix must not mask the fault *)
     if not cache || Robust.Faults.armed Robust.Faults.Perturb_matrix then
-      { ce_matrix = assemble cfg ~extent; ce_cold_iters = ref None;
-        ce_mg = ref None; ce_blur = ref None }
+      fresh_entry (assemble cfg ~extent)
     else begin
       let key = (cfg, extent) in
       match cache_lookup key with
@@ -232,9 +238,7 @@ let build ?(cache = true) cfg ~power =
                 and reassembling"
                (Stencil.dim e.ce_matrix) n);
           cache_remove key;
-          cache_insert key
-            { ce_matrix = assemble cfg ~extent; ce_cold_iters = ref None;
-              ce_mg = ref None; ce_blur = ref None }
+          cache_insert key (fresh_entry (assemble cfg ~extent))
         end
         else begin
           Obs.Metrics.count "thermal.mesh.cache.hits";
@@ -244,9 +248,7 @@ let build ?(cache = true) cfg ~power =
         Obs.Metrics.count "thermal.mesh.cache.misses";
         (* assemble outside the cache lock; worst case two racing builds
            assemble the same matrix and one is dropped *)
-        cache_insert key
-          { ce_matrix = assemble cfg ~extent; ce_cold_iters = ref None;
-            ce_mg = ref None; ce_blur = ref None }
+        cache_insert key (fresh_entry (assemble cfg ~extent))
     end
   in
   let rhs = Array.make n 0.0 in
@@ -255,7 +257,8 @@ let build ?(cache = true) cfg ~power =
       rhs.(node_index cfg ~ix ~iy ~iz:zp) <- w);
   { p_config = cfg; p_extent = extent; p_matrix = entry.ce_matrix;
     p_rhs = rhs; p_cold_iters = entry.ce_cold_iters;
-    p_mg = entry.ce_mg; p_blur = entry.ce_blur }
+    p_mg = entry.ce_mg; p_analytic = entry.ce_analytic;
+    p_blur = entry.ce_blur }
 
 let multigrid p =
   match !(p.p_mg) with
@@ -347,11 +350,27 @@ let active_layer_grid s =
    the kernel repays it across thousands of evaluations. *)
 let blur_tol = 1e-10
 
+let fits cfg b = Blur.nx b = cfg.nx && Blur.ny b = cfg.ny
+
+let analytic_blur p =
+  match !(p.p_analytic) with
+  | Some (Ok b) when fits p.p_config b -> Ok b
+  | Some (Error _ as e) -> e
+  | _ ->
+    let r =
+      Blur.of_stencil p.p_matrix
+        ~power_layer:p.p_config.stack.Stack.power_layer ~extent:p.p_extent
+    in
+    (* benign race, same policy as [multigrid] *)
+    p.p_analytic := Some r;
+    r
+
 let blur ?(precond = Pc_mg) p =
   let cfg = p.p_config in
-  match !(p.p_blur) with
-  | Some b when Blur.nx b = cfg.nx && Blur.ny b = cfg.ny -> b
-  | _ ->
+  match analytic_blur p, !(p.p_blur) with
+  | Ok b, _ -> b
+  | Error _, Some b when fits cfg b -> b
+  | Error _, _ ->
     Obs.Trace.with_span "thermal.blur.characterize" @@ fun () ->
     let n = Array.length p.p_rhs in
     let rhs = Array.make n 0.0 in

@@ -132,11 +132,19 @@ val layer_grid : solution -> iz:int -> Geo.Grid.t
 val active_layer_grid : solution -> Geo.Grid.t
 (** The thermal map of the paper's figures: the power-injection layer. *)
 
+val analytic_blur : problem -> (Blur.t, string) result
+(** The analytic power-layer transfer of this problem's matrix
+    ({!Blur.of_stencil}), or the reason the matrix has none: non-zero
+    side walls, an armed [Perturb_matrix] fault, a grid smaller than
+    2x2. No solve is run. The outcome is cached on the problem's MRU
+    entry next to the multigrid hierarchy, so every build of the same
+    (config, extent) and every pool worker shares it. *)
+
 val blur : ?precond:precond_choice -> problem -> Blur.t
 (** The power-blurring screening kernel for this problem's mesh: the
-    active-layer response to a 1 W impulse at tile (nx/2, ny/2), solved
-    once at 1e-8 with the chosen preconditioner (default [Pc_mg]) and
-    characterized by {!Blur.of_response}. Cached on the problem's MRU
-    entry next to the multigrid hierarchy, so an optimizer run
-    characterizes once per (config, extent) and every pool worker shares
-    the kernel. Traced as [thermal.blur.characterize]. *)
+    {!analytic_blur} transfer when the matrix has one. Otherwise the
+    active-layer response to a 1 W impulse at corner tile (0, 0), solved
+    cold at the characterization tolerance 1e-10 with the chosen
+    preconditioner (default [Pc_mg]) and characterized by
+    {!Blur.of_response}, traced as [thermal.blur.characterize] and
+    cached on the problem's MRU entry like the analytic kernel. *)

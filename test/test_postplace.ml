@@ -577,32 +577,135 @@ let test_gradient_guide_matches_peak_quality () =
   Alcotest.(check int) "peak mode runs no adjoints" 0
     peak.Postplace.Optimizer.adjoint_evaluations
 
-let test_gradient_guide_parallel_identical () =
-  let fl = Lazy.force flow in
-  let run () =
-    Thermal.Mesh.cache_clear ();
-    Postplace.Optimizer.greedy_rows
-      { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient }
-      ~rows:3 ~chunk:2 ~stride:3 ~coarse_nx:16 ()
-  in
-  Parallel.Pool.set_jobs 1;
-  let seq = run () in
-  let par =
-    Parallel.Pool.set_jobs 4;
-    Fun.protect ~finally:(fun () -> Parallel.Pool.set_jobs 1) run
-  in
-  Alcotest.(check (list int)) "same plan"
-    seq.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
-    par.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
-  Alcotest.(check bool) "same predicted peak" true
-    (seq.Postplace.Optimizer.predicted_peak_k
-     = par.Postplace.Optimizer.predicted_peak_k)
-
-(* --- parallel determinism --------------------------------------------------------- *)
-
 let with_jobs n f =
   Parallel.Pool.set_jobs n;
   Fun.protect ~finally:(fun () -> Parallel.Pool.set_jobs 1) f
+
+let test_gradient_guide_parallel_identical () =
+  let fl = Lazy.force flow in
+  let run jobs =
+    Thermal.Mesh.cache_clear ();
+    with_jobs jobs (fun () ->
+        Postplace.Optimizer.greedy_rows
+          { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient }
+          ~rows:3 ~chunk:2 ~stride:3 ~coarse_nx:16 ())
+  in
+  let seq = run 1 in
+  Alcotest.(check bool) "spectral realization" true
+    (seq.Postplace.Optimizer.realization = Some Postplace.Optimizer.Spectral);
+  List.iter
+    (fun jobs ->
+      let par = run jobs in
+      Alcotest.(check (list int))
+        (Printf.sprintf "same plan with %d domains" jobs)
+        seq.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
+        par.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
+      Alcotest.(check bool)
+        (Printf.sprintf "same predicted peak with %d domains" jobs)
+        true
+        (seq.Postplace.Optimizer.predicted_peak_k
+         = par.Postplace.Optimizer.predicted_peak_k))
+    [ 2; 3; 4 ]
+
+let gradient ?(stack = None) ?fault screen =
+  let fl = Lazy.force flow in
+  let fl =
+    match stack with
+    | None -> fl
+    | Some stack ->
+      { fl with
+        Postplace.Flow.mesh_config =
+          { fl.Postplace.Flow.mesh_config with Thermal.Mesh.stack } }
+  in
+  let run () =
+    Postplace.Optimizer.greedy_rows
+      { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient; screen }
+      ~rows:4 ~chunk:2 ~stride:2 ~coarse_nx:16 ()
+  in
+  Thermal.Mesh.cache_clear ();
+  Parallel.Pool.set_jobs 1;
+  match fault with
+  | None -> run ()
+  | Some f -> Robust.Faults.with_fault f run
+
+let plan r = r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
+
+let check_realization what expected r =
+  Alcotest.(check bool) what true
+    (r.Postplace.Optimizer.realization = Some expected)
+
+let test_spectral_matches_exact () =
+  let ex = gradient Postplace.Flow.Screen_exact in
+  let sp = gradient Postplace.Flow.Screen_auto in
+  check_realization "exact under Screen_exact"
+    Postplace.Optimizer.(Exact Screen_exact) ex;
+  check_realization "spectral by default" Postplace.Optimizer.Spectral sp;
+  Alcotest.(check (list int)) "same plan" (plan ex) (plan sp);
+  let pe = ex.Postplace.Optimizer.predicted_peak_k
+  and ps = sp.Postplace.Optimizer.predicted_peak_k in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %.17g within 1e-9 of %.17g" ps pe)
+    true
+    (Float.abs (ps -. pe) <= 1e-9 *. pe);
+  (* two rounds: two transfer applications each, one for the parity *)
+  Alcotest.(check (list int)) "spectral counters" [ 1; 0; 5 ]
+    Postplace.Optimizer.
+      [ sp.evaluations; sp.adjoint_evaluations; sp.blur_evaluations ];
+  Alcotest.(check (list int)) "exact counters" [ 4; 2; 0 ]
+    Postplace.Optimizer.
+      [ ex.evaluations; ex.adjoint_evaluations; ex.blur_evaluations ];
+  (match sp.Postplace.Optimizer.spectral_parity_rel with
+   | Some p -> Alcotest.(check bool) "parity within 1e-6" true (p <= 1e-6)
+   | None -> Alcotest.fail "no parity recorded");
+  Alcotest.(check bool) "no parity under exact" true
+    (ex.Postplace.Optimizer.spectral_parity_rel = None)
+
+(* The exact realization ignores the screen tier, so whatever sends a run
+   there reproduces the Screen_exact run bit for bit. *)
+let test_realization_fallbacks () =
+  let same_bits what a b =
+    Alcotest.(check (list int)) (what ^ ": plan") (plan a) (plan b);
+    Alcotest.(check bool) (what ^ ": peak bits") true
+      (Int64.bits_of_float a.Postplace.Optimizer.predicted_peak_k
+       = Int64.bits_of_float b.Postplace.Optimizer.predicted_peak_k)
+  in
+  let walls =
+    Some
+      { Thermal.Stack.default_9layer with Thermal.Stack.h_side_w_m2k = 2e4 }
+  in
+  let walls_exact = gradient ~stack:walls Postplace.Flow.Screen_exact in
+  let walls_auto = gradient ~stack:walls Postplace.Flow.Screen_auto in
+  check_realization "side walls" Postplace.Optimizer.(Exact Non_uniform)
+    walls_auto;
+  same_bits "side walls" walls_exact walls_auto;
+  let stale =
+    gradient ~fault:Robust.Faults.Stale_mesh_cache Postplace.Flow.Screen_auto
+  in
+  check_realization "armed fault" Postplace.Optimizer.(Exact Faults_armed)
+    stale;
+  same_bits "armed fault" (gradient Postplace.Flow.Screen_exact) stale;
+  Alcotest.(check int) "no spectral work under a fault" 0
+    stale.Postplace.Optimizer.blur_evaluations
+
+let test_perturbed_matrix_is_non_uniform () =
+  (* under Screen_fft an armed fault does not stop the spectral probe:
+     the perturbed stencil it assembles fails the uniformity check, and
+     the exact realization then meets the fault as it always has — a
+     structured solver error *)
+  Obs.Metrics.reset ();
+  (match
+     gradient ~fault:Robust.Faults.Perturb_matrix Postplace.Flow.Screen_fft
+   with
+   | _ -> Alcotest.fail "perturbed matrix solved"
+   | exception Robust.Error.Error (Robust.Error.Solver_diverged _) -> ());
+  Alcotest.(check (option int)) "counted as exact, non_uniform" (Some 1)
+    (Obs.Metrics.counter_value "optimizer.realization"
+       ~labels:[ ("realization", "exact"); ("reason", "non_uniform") ]);
+  Alcotest.(check (option int)) "never spectral" None
+    (Obs.Metrics.counter_value "optimizer.realization"
+       ~labels:[ ("realization", "spectral"); ("reason", "uniform") ])
+
+(* --- parallel determinism --------------------------------------------------------- *)
 
 let test_optimizer_parallel_identical () =
   let fl = Lazy.force flow in
@@ -841,7 +944,13 @@ let () =
          Alcotest.test_case "matches peak-guide quality" `Quick
            test_gradient_guide_matches_peak_quality;
          Alcotest.test_case "parallel identical to sequential" `Quick
-           test_gradient_guide_parallel_identical ]);
+           test_gradient_guide_parallel_identical;
+         Alcotest.test_case "spectral plan matches exact" `Quick
+           test_spectral_matches_exact;
+         Alcotest.test_case "realization fallbacks" `Quick
+           test_realization_fallbacks;
+         Alcotest.test_case "perturbed matrix is non-uniform" `Quick
+           test_perturbed_matrix_is_non_uniform ]);
       ("experiment",
        [ Alcotest.test_case "fig6 parallel identical" `Quick
            test_fig6_parallel_identical ]);

@@ -104,19 +104,53 @@ let test_transient_peaks () =
   check_digest "transient mg" "91a619c0d14a5a4782cd8a47df5df37a"
     (run M.Pc_mg)
 
-let test_gradient_plan_ts1_40 () =
+(* The gradient guide on test set 1 at 40x40, 8 rows. The digest of the
+   exact realization was recorded before the spectral one existed (it is
+   the realization every run used then); the spectral realization must
+   commit the same plan and confirm its peak to 1e-9 relative. *)
+let gradient_plan_ts1_40 screen =
   M.cache_clear ();
   Parallel.Pool.set_jobs 1;
   let fl =
-    Postplace.Experiment.test_set_1 ~guide:Postplace.Flow.Guide_gradient ()
+    Postplace.Experiment.test_set_1 ~guide:Postplace.Flow.Guide_gradient
+      ~screen ()
   in
   let r = Postplace.Optimizer.greedy_rows fl ~rows:8 ~coarse_nx:40 () in
   let plan = r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after in
+  let peak = r.Postplace.Optimizer.predicted_peak_k in
+  ( Postplace.Technique.plan_hash plan,
+    peak,
+    Digest.to_hex
+      (Digest.string
+         (Postplace.Technique.plan_hash plan ^ digest_floats [ [| peak |] ])),
+    r.Postplace.Optimizer.realization )
+
+let test_gradient_plan_ts1_40 () =
+  let _, _, digest, realization =
+    gradient_plan_ts1_40 Postplace.Flow.Screen_exact
+  in
   check_digest "gradient plan ts1 40x40" "24861dedc7096697436a6319cceae8c1"
-    (Digest.to_hex
-       (Digest.string
-          (Postplace.Technique.plan_hash plan
-           ^ digest_floats [ [| r.Postplace.Optimizer.predicted_peak_k |] ])))
+    digest;
+  Alcotest.(check bool) "exact realization" true
+    (realization
+     = Some Postplace.Optimizer.(Exact Screen_exact))
+
+let test_gradient_plan_ts1_40_spectral () =
+  let exact_hash, exact_peak, _, _ =
+    gradient_plan_ts1_40 Postplace.Flow.Screen_exact
+  in
+  let hash, peak, digest, realization =
+    gradient_plan_ts1_40 Postplace.Flow.Screen_auto
+  in
+  Alcotest.(check bool) "spectral realization" true
+    (realization = Some Postplace.Optimizer.Spectral);
+  Alcotest.(check string) "same plan as exact" exact_hash hash;
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %.17g within 1e-9 of exact %.17g" peak exact_peak)
+    true
+    (Float.abs (peak -. exact_peak) <= 1e-9 *. Float.abs exact_peak);
+  check_digest "gradient plan ts1 40x40 spectral" "cabe90f28ae5a0a84a1e4661a6d3c0bf"
+    digest
 
 let test_spice_12 () =
   M.cache_clear ();
@@ -490,6 +524,147 @@ let prop_pcg_matches_dense =
         [ ("jacobi", M.Pc_jacobi); ("ssor", M.Pc_ssor); ("mg", M.Pc_mg) ];
       true)
 
+(* --- analytic transfer ---------------------------------------------- *)
+
+(* A case with at least 2x2 tiles, no fault and adiabatic side walls
+   (keeping a heat path: the top sink stands in if the walls were the
+   only one). *)
+let adiabatic c =
+  let st = c.cfg.M.stack in
+  let h_top =
+    if st.Thermal.Stack.h_top_w_m2k = 0.0
+    && st.Thermal.Stack.h_bottom_w_m2k = 0.0
+    then 1e5
+    else st.Thermal.Stack.h_top_w_m2k
+  in
+  { c with
+    cfg =
+      { M.nx = max 2 c.cfg.M.nx; ny = max 2 c.cfg.M.ny;
+        stack =
+          { st with Thermal.Stack.h_side_w_m2k = 0.0; h_top_w_m2k = h_top } };
+    perturb = false }
+
+let max_abs_grid g = Geo.Grid.fold g ~init:0.0 ~f:(fun m v -> Float.max m (Float.abs v))
+
+let max_rel_err ~exact got =
+  let err = ref 0.0 in
+  Geo.Grid.iteri exact ~f:(fun ~ix ~iy v ->
+      err := Float.max !err (Float.abs (v -. Geo.Grid.get got ~ix ~iy)));
+  !err /. max_abs_grid exact
+
+(* The analytic kernel of a case's production stencil, its power map,
+   problem and the dense solution of that problem. *)
+let analytic c =
+  let power = power_of c (Random.State.make [| c.seed |]) in
+  let p = M.build ~cache:false c.cfg ~power in
+  let kernel =
+    match
+      Thermal.Blur.of_stencil (M.matrix p)
+        ~power_layer:c.cfg.M.stack.Thermal.Stack.power_layer ~extent:c.extent
+    with
+    | Ok k -> k
+    | Error why -> QCheck.Test.fail_reportf "no analytic transfer: %s" why
+  in
+  let dense =
+    { M.config = c.cfg; extent = c.extent;
+      temp =
+        Thermal.Dense.solve (Thermal.Dense.of_stencil (M.matrix p)) (M.rhs p);
+      cg_iterations = 0; cg_residual = 0.0; cg_rungs = [] }
+  in
+  (power, p, kernel, dense)
+
+let prop_analytic_matches_dense =
+  QCheck.Test.make ~name:"analytic transfer matches dense active layer"
+    ~count:40 (case_arb ~max_xy:13) (fun c ->
+      let c = adiabatic c in
+      let power, _, kernel, dense = analytic c in
+      let err =
+        max_rel_err ~exact:(M.active_layer_grid dense)
+          (Thermal.Blur.field kernel ~power)
+      in
+      if err > 1e-9 then QCheck.Test.fail_reportf "max rel error %.3e" err;
+      true)
+
+(* Spectral sensitivity (the kernel applied to the softmax weights of the
+   spectral field, as the optimizer's spectral realization computes it)
+   against the CG adjoint, and both against a
+   superposition central difference at the most sensitive tile: the
+   system is linear, so the perturbed field is T0 +/- eps u with
+   u = G^-1 e_tile solved densely. *)
+let prop_spectral_sensitivity =
+  QCheck.Test.make ~name:"spectral sensitivity = cg adjoint = fd" ~count:30
+    (case_arb ~max_xy:12) (fun c ->
+      let c = adiabatic c in
+      let power, p, kernel, dense = analytic c in
+      let sharpness = Thermal.Adjoint.default_sharpness in
+      let spectral = Thermal.Adjoint.spectral_sensitivity kernel ~power in
+      let adj =
+        Thermal.Adjoint.solve ~precond:(M.precond_of_choice p M.Pc_mg) p
+      in
+      let cg = adj.Thermal.Adjoint.sensitivity in
+      let err = max_rel_err ~exact:cg spectral in
+      if err > 1e-8 then
+        QCheck.Test.fail_reportf "spectral vs adjoint: max rel error %.3e" err;
+      let ix, iy = Geo.Grid.argmax cg in
+      let e = Array.make (Array.length dense.M.temp) 0.0 in
+      e.(M.node_index c.cfg ~ix ~iy
+           ~iz:c.cfg.M.stack.Thermal.Stack.power_layer) <- 1.0;
+      let u = Thermal.Dense.solve (Thermal.Dense.of_stencil (M.matrix p)) e in
+      let shifted s =
+        Thermal.Adjoint.smoothed_peak ~sharpness
+          { dense with
+            M.temp = Array.mapi (fun i t -> t +. (s *. u.(i))) dense.M.temp }
+      in
+      (* a step that moves no tile by more than 1e-5 K keeps the
+         third-order truncation, ~ (beta eps u_max)^2 u_max / (6 s),
+         far below the 1e-6 bound *)
+      let u_max = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 u in
+      let eps = 1e-5 /. u_max in
+      let fd = (shifted eps -. shifted (-.eps)) /. (2.0 *. eps) in
+      List.iter
+        (fun (name, g) ->
+          let v = Geo.Grid.get g ~ix ~iy in
+          let rel = Float.abs (v -. fd) /. Float.abs fd in
+          if rel > 1e-6 then
+            QCheck.Test.fail_reportf "%s vs fd at (%d, %d): %.17g vs %.17g \
+                                      (rel %.3e)" name ix iy v fd rel)
+        [ ("spectral", spectral); ("adjoint", cg) ];
+      true)
+
+(* The uniformity check accepts exactly the laterally uniform stencils:
+   an armed Perturb_matrix breaks one coupling, and side walls add a sink
+   to the boundary tiles only — except on a 2x2 grid, where every tile is
+   a corner, the side-wall sink is uniform and the transfer still exact. *)
+let prop_uniformity_check =
+  QCheck.Test.make ~name:"uniformity check rejects side walls and faults"
+    ~count:300 (case_arb ~max_xy:13) (fun c ->
+      let a, _ = both c in
+      let nx = c.cfg.M.nx and ny = c.cfg.M.ny in
+      let side = c.cfg.M.stack.Thermal.Stack.h_side_w_m2k > 0.0 in
+      let expect_ok =
+        nx >= 2 && ny >= 2 && (not c.perturb)
+        && ((not side) || (nx = 2 && ny = 2))
+      in
+      match
+        Thermal.Blur.of_stencil a
+          ~power_layer:c.cfg.M.stack.Thermal.Stack.power_layer
+          ~extent:c.extent
+      with
+      | Ok _ when not expect_ok -> QCheck.Test.fail_report "accepted"
+      | Error why when expect_ok -> QCheck.Test.fail_reportf "rejected: %s" why
+      | Error _ -> true
+      | Ok _ ->
+        if side then begin
+          let power, _, kernel, dense = analytic c in
+          let err =
+            max_rel_err ~exact:(M.active_layer_grid dense)
+              (Thermal.Blur.field kernel ~power)
+          in
+          if err > 1e-9 then
+            QCheck.Test.fail_reportf "2x2 side walls: max rel error %.3e" err
+        end;
+        true)
+
 let qcheck ~seed t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
 
@@ -504,7 +679,13 @@ let () =
          Alcotest.test_case "transient peaks" `Quick test_transient_peaks;
          Alcotest.test_case "gradient plan ts1 40x40" `Quick
            test_gradient_plan_ts1_40;
+         Alcotest.test_case "gradient plan ts1 40x40 spectral" `Quick
+           test_gradient_plan_ts1_40_spectral;
          Alcotest.test_case "spice 12x12" `Quick test_spice_12 ]);
       ("reference",
        [ qcheck ~seed:14 prop_matches_csr;
-         qcheck ~seed:15 prop_pcg_matches_dense ]) ]
+         qcheck ~seed:15 prop_pcg_matches_dense ]);
+      ("spectral",
+       [ qcheck ~seed:16 prop_analytic_matches_dense;
+         qcheck ~seed:17 prop_spectral_sensitivity;
+         qcheck ~seed:18 prop_uniformity_check ]) ]
