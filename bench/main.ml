@@ -970,8 +970,8 @@ let run_mg () =
 (* --- FFT SCREENING ----------------------------------------------------------------- *)
 
 (* Green's-function power blurring (Kemper et al.) as the O(n log n)
-   screening tier: FFT parity against a naive DFT, kernel characterization
-   cost, per-candidate blur vs warm MG-CG cost at 160x160, screening rank
+   screening tier: FFT parity against a naive DFT, analytic kernel cost,
+   per-candidate blur vs warm MG-CG cost at 160x160, screening rank
    fidelity at the optimizer's grid, and end-to-end greedy_rows under
    Screen_fft vs Screen_exact. *)
 
@@ -1055,7 +1055,7 @@ let run_fft () =
       ~power:(power_of ~nx (chunk_plan (List.hd cands8)))
   in
   let hier, t_mg_build = time (fun () -> Thermal.Mesh.multigrid p_first) in
-  let kernel, t_char = time (fun () -> Thermal.Mesh.blur p_first) in
+  let kernel, t_kernel = time (fun () -> Thermal.Mesh.blur p_first) in
   let sum_ex = ref 0.0 and sum_bl = ref 0.0 and err160 = ref 0.0 in
   List.iter
     (fun cand ->
@@ -1081,10 +1081,10 @@ let run_fft () =
   let blur_eval_ms = !sum_bl /. n8 *. 1e3 in
   let per_cand_speedup = exact_eval_ms /. blur_eval_ms in
   Printf.printf
-    "kernel at %dx%d: mg build %.1f ms, characterize %.1f ms\n\
+    "kernel at %dx%d: mg build %.1f ms, analytic kernel %.1f ms\n\
      per-candidate: exact %.2f ms, blur %.2f ms, speedup %.1fx, max peak \
      rel err %.2e\n"
-    nx nx (t_mg_build *. 1e3) (t_char *. 1e3) exact_eval_ms blur_eval_ms
+    nx nx (t_mg_build *. 1e3) (t_kernel *. 1e3) exact_eval_ms blur_eval_ms
     per_cand_speedup !err160;
   Printf.printf "check: per-candidate speedup >= 5x:              %b\n"
     (per_cand_speedup >= 5.0);
@@ -1221,7 +1221,7 @@ let run_fft () =
        j_obj
          [ ("nx", j_i nx);
            ("mg_build_ms", j_f (t_mg_build *. 1e3));
-           ("characterize_ms", j_f (t_char *. 1e3));
+           ("kernel_ms", j_f (t_kernel *. 1e3));
            ("exact_eval_ms", j_f exact_eval_ms);
            ("blur_eval_ms", j_f blur_eval_ms);
            ("per_candidate_speedup", j_f per_cand_speedup);

@@ -16,10 +16,11 @@ type screen_choice = Screen_auto | Screen_fft | Screen_exact
     exact MG-CG solver; [Screen_exact] solves every candidate exactly;
     [Screen_auto] (the default) picks fft unless a fault is armed —
     injected faults must reach the exact solve path they target, so
-    fault-injected runs always fall back to exact screening. Under
+    fault-injected runs always fall back to exact screening. Either guide
+    screens only when the stencil has an analytic transfer (adiabatic
+    side walls, an unperturbed matrix) and runs exact otherwise. Under
     [Guide_gradient] the same choice selects the thermal operator: fft
-    runs the spectral realization (when the stencil admits one), exact
-    the CG one. *)
+    runs the spectral realization, exact the CG one. *)
 
 val screens : (string * screen_choice) list
 (** Every screening tier by name: ["auto"], ["fft"], ["exact"]. The CLI

@@ -93,13 +93,6 @@ let solve_trial flow problem ~x0 ~tol =
   in
   (peak, solution)
 
-let eval_trial_sol flow ~after ~nx ~x0 ~tol =
-  solve_trial flow (snd (trial_problem flow ~after ~nx)) ~x0 ~tol
-
-let eval_trial flow ~after ~nx ~x0 ~tol =
-  let peak, solution = eval_trial_sol flow ~after ~nx ~x0 ~tol in
-  (peak, solution.Thermal.Mesh.temp)
-
 (* The spectral kernel is built once per mesh and then trusted for
    thousands of evaluations, so under [Screen_auto] any armed fault —
    whichever stage it targets — forces the exact tier: injected faults
@@ -126,10 +119,20 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
   let base = flow.Flow.base_placement in
   let candidates = candidate_rows flow ~stride in
   let num_cands = List.length candidates in
-  (* screening pays one kernel characterization per round; with no more
-     candidates than leaders every candidate gets an exact solve anyway,
-     so the blur tier cannot win and is skipped *)
-  let screen = screening_enabled flow && num_cands > leaders in
+  let solve after ~x0 ~tol =
+    solve_trial flow (snd (trial_problem flow ~after ~nx:coarse_nx)) ~x0 ~tol
+  in
+  let _, seed = trial_problem flow ~after:[] ~nx:coarse_nx in
+  (* screening pays one anchor solve per round; with no more candidates
+     than leaders every candidate gets an exact solve anyway, so the blur
+     tier cannot win and is skipped. A stencil without an analytic
+     transfer (side walls, a perturbed matrix) has no kernel to screen
+     with: every round of the run shares its stack, so the seed decides
+     for all of them. *)
+  let screen =
+    screening_enabled flow && num_cands > leaders
+    && Result.is_ok (Thermal.Mesh.analytic_blur seed)
+  in
   let evaluations = ref 0 in
   let blur_evaluations = ref 0 in
   (* the plan is kept reversed: committing a chunk is a prepend, and
@@ -137,11 +140,9 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
   let rev_plan = ref [] in
   let remaining = ref rows in
   (* warm-start seed: the incumbent plan's temperature field *)
-  let _, temp0 =
-    eval_trial flow ~after:[] ~nx:coarse_nx ~x0:None ~tol:rank_tol
-  in
+  let _, sol0 = solve_trial flow seed ~x0:None ~tol:rank_tol in
   incr evaluations;
-  let warm = ref temp0 in
+  let warm = ref sol0.Thermal.Mesh.temp in
   while !remaining > 0 do
     let step = min chunk !remaining in
     let x0 = Some !warm in
@@ -163,31 +164,18 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
            kernel of the first candidate's mesh serves all of them (and
            is cached on the mesh MRU entry) *)
         let first = List.hd candidates in
-        let first_power =
-          trial_power flow ~after:(trial_of first) ~nx:coarse_nx
+        let first_power, first_problem =
+          trial_problem flow ~after:(trial_of first) ~nx:coarse_nx
         in
-        let kernel =
-          let cfg =
-            { flow.Flow.mesh_config with
-              Thermal.Mesh.nx = coarse_nx; ny = coarse_nx }
-          in
-          Thermal.Mesh.blur ?precond:flow.Flow.mesh_precond
-            (Thermal.Mesh.build cfg ~power:first_power)
-        in
+        let kernel = Thermal.Mesh.blur first_problem in
         (* anchor the round with one exact (rank-tolerance) solve of the
            first candidate and rank by blur corrected with the anchor's
-           exact-minus-blurred error field. Under the default adiabatic
-           walls the transfer is exact and the correction is only CG
-           residual noise; it is kept because it is cheap (one of the
-           round's solves) and makes the screen a control variate: the
-           transfer is linear in the power map, so if the model ever
-           degrades (non-zero side-wall conductance breaks translation
-           invariance) estimates err only by the model error of the
-           *difference* between candidate power maps, not by its
-           absolute error. *)
+           exact-minus-blurred field. The transfer is exact, so the
+           correction is the anchor's solver error at rank tolerance:
+           estimates then carry the error the leader solves they stand
+           in for carry. *)
         let first_peak, first_sol =
-          eval_trial_sol flow ~after:(trial_of first) ~nx:coarse_nx ~x0
-            ~tol:rank_tol
+          solve_trial flow first_problem ~x0 ~tol:rank_tol
         in
         let correction =
           Geo.Grid.map2 (Thermal.Mesh.active_layer_grid first_sol)
@@ -220,17 +208,12 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
               if not is_leader.(i) then None
               else if i = 0 then
                 (* the anchor solve used the leader inputs already *)
-                Some (first_peak, first_sol.Thermal.Mesh.temp)
-              else
-                Some
-                  (eval_trial flow ~after:(trial_of cand) ~nx:coarse_nx ~x0
-                     ~tol:rank_tol))
+                Some (first_peak, first_sol)
+              else Some (solve (trial_of cand) ~x0 ~tol:rank_tol))
       end
       else
         Parallel.Pool.map_list candidates ~f:(fun cand ->
-            Some
-              (eval_trial flow ~after:(trial_of cand) ~nx:coarse_nx ~x0
-                 ~tol:rank_tol))
+            Some (solve (trial_of cand) ~x0 ~tol:rank_tol))
     in
     List.iter (fun o -> if o <> None then incr evaluations) outcomes;
     let best = ref None in
@@ -238,15 +221,15 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
       (fun cand outcome ->
          match outcome with
          | None -> ()
-         | Some (peak, temp) ->
+         | Some (peak, sol) ->
            (match !best with
             | Some (_, best_peak, _) when best_peak <= peak -> ()
-            | _ -> best := Some (cand, peak, temp)))
+            | _ -> best := Some (cand, peak, sol)))
       candidates outcomes;
     (match !best with
-     | Some (cand, _, temp) ->
+     | Some (cand, _, sol) ->
        rev_plan := List.rev_append (List.init step (fun _ -> cand)) !rev_plan;
-       warm := temp
+       warm := sol.Thermal.Mesh.temp
      | None -> assert false);
     remaining := !remaining - step
   done;
@@ -255,8 +238,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
   (* re-score the winner at full tolerance, warm-started from its own
      ranking solution (a few iterations to polish 1e-6 down to 1e-10) *)
   let peak, _ =
-    eval_trial flow ~after:plan_list ~nx:coarse_nx ~x0:(Some !warm)
-      ~tol:Thermal.Cg.default_tol
+    solve plan_list ~x0:(Some !warm) ~tol:Thermal.Cg.default_tol
   in
   incr evaluations;
   { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
@@ -372,8 +354,9 @@ type operator = {
   confirm : int list -> float;
 }
 
-(* A spectral run that cannot finish hands over to Exact with a reason. *)
-exception Fall_back of exact_reason
+(* A spectral run whose final plan fails the parity check hands over to
+   Exact. *)
+exception Parity_miss
 
 (* Exact: CG forward and adjoint solves on the cached mesh. The seed
    problem is the empty plan's, built once by the caller; the incumbent's
@@ -382,6 +365,9 @@ exception Fall_back of exact_reason
    from the previous round's lambda (the softmax source drifts slowly
    between nearby plans). *)
 let exact_operator flow ~nx ~seed tally =
+  let solve after ~x0 ~tol =
+    solve_trial flow (snd (trial_problem flow ~after ~nx)) ~x0 ~tol
+  in
   let _, sol0 = solve_trial flow seed ~x0:None ~tol:rank_tol in
   tally.exact_solves <- tally.exact_solves + 1;
   let incumbent = ref sol0 in
@@ -400,17 +386,12 @@ let exact_operator flow ~nx ~seed tally =
          adj.Thermal.Adjoint.sensitivity);
     committed =
       (fun rev_plan ->
-         let _, sol =
-           eval_trial_sol flow ~after:rev_plan ~nx ~x0:(warm ()) ~tol:rank_tol
-         in
+         let _, sol = solve rev_plan ~x0:(warm ()) ~tol:rank_tol in
          tally.exact_solves <- tally.exact_solves + 1;
          incumbent := sol);
     confirm =
       (fun plan ->
-         let peak, _ =
-           eval_trial flow ~after:plan ~nx ~x0:(warm ())
-             ~tol:Thermal.Cg.default_tol
-         in
+         let peak, _ = solve plan ~x0:(warm ()) ~tol:Thermal.Cg.default_tol in
          tally.exact_solves <- tally.exact_solves + 1;
          peak) }
 
@@ -418,22 +399,31 @@ let exact_operator flow ~nx ~seed tally =
    a spectral run may show before its plan is recomputed on Exact. *)
 let parity_tol = 1e-6
 
+let spectral_parity ~spectral ~exact =
+  let rel =
+    if spectral = exact then 0.0
+    else Float.abs (spectral -. exact) /. Float.abs exact
+  in
+  (rel, rel <= parity_tol)
+
 (* Spectral: the analytic power-layer transfer of each round's mesh
    gives the sensitivity with two FFT applications
    ([Thermal.Adjoint.spectral_sensitivity]) — no solve per round, and
    nothing to confirm between rounds. The final plan gets one cold
-   full-tolerance exact solve, checked against its spectral peak. *)
-let spectral_operator flow ~nx tally ~parity =
-  let kernel problem =
-    match Thermal.Mesh.analytic_blur problem with
-    | Ok k -> k
-    | Error _ -> raise (Fall_back Non_uniform)
-  in
+   full-tolerance exact solve, checked against its spectral peak. The
+   caller has checked the seed's stencil, and every round's mesh shares
+   its stack, so [Thermal.Mesh.blur] has a kernel for each of them. *)
+let spectral_operator flow ~nx ~seed tally ~parity ~check =
   { sensitivity =
       (fun rev_plan ->
-         let power, problem = trial_problem flow ~after:rev_plan ~nx in
+         (* the first round's incumbent is the empty plan: the seed *)
+         let power, problem =
+           if rev_plan = [] then seed
+           else trial_problem flow ~after:rev_plan ~nx
+         in
          tally.spectral_applications <- tally.spectral_applications + 2;
-         Thermal.Adjoint.spectral_sensitivity (kernel problem) ~power);
+         Thermal.Adjoint.spectral_sensitivity (Thermal.Mesh.blur problem)
+           ~power);
     committed = (fun _ -> ());
     confirm =
       (fun plan ->
@@ -442,19 +432,21 @@ let spectral_operator flow ~nx tally ~parity =
            solve_trial flow problem ~x0:None ~tol:Thermal.Cg.default_tol
          in
          tally.exact_solves <- tally.exact_solves + 1;
-         let spectral = Thermal.Blur.peak (kernel problem) ~power in
+         let spectral =
+           Thermal.Blur.peak (Thermal.Mesh.blur problem) ~power
+         in
          tally.spectral_applications <- tally.spectral_applications + 1;
-         let rel = Float.abs (spectral -. peak) /. Float.abs peak in
+         let rel, ok = check ~spectral ~exact:peak in
          parity := Some rel;
          Obs.Metrics.gauge "optimizer.spectral_parity_rel" rel;
-         if not (rel <= parity_tol) then begin
+         if not ok then begin
            Obs.Log.warn
              (Printf.sprintf
                 "Optimizer: spectral peak %.17g K is %.3g off the confirmed \
                  %.17g K (tolerance %g); recomputing the plan on the exact \
                  operator"
                 spectral rel peak parity_tol);
-           raise (Fall_back Parity)
+           raise Parity_miss
          end;
          peak) }
 
@@ -495,16 +487,18 @@ let gradient_loop flow op ~rows ~chunk ~stride ~nx ~prepass_steps =
   let plan_list = List.rev !rev_plan in
   (Technique.apply_row_insertions base plan_list, op.confirm plan_list)
 
-let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx:nx ~prepass_steps =
+let gradient_rows_checked ~check flow ~rows ~chunk ~stride ~coarse_nx:nx
+    ~prepass_steps =
   Obs.Trace.with_span "optimizer.gradient_rows" @@ fun () ->
   let tally =
     { exact_solves = 0; adjoint_solves = 0; spectral_applications = 0 }
   in
   let parity = ref None in
-  (* the empty plan's problem: the spectral realization's uniformity
-     probe and the exact realization's seed, built once so an armed
-     fault fires exactly where it always has *)
-  let _, seed = trial_problem flow ~after:[] ~nx in
+  (* the empty plan's power map and problem: the uniformity probe, the
+     exact realization's seed and the spectral realization's first
+     incumbent, built once so an armed fault fires exactly where it
+     always has *)
+  let seed = trial_problem flow ~after:[] ~nx in
   (* counted as each realization starts, so a run that ends in a
      structured solver error still reports which one it was *)
   let start realization operator =
@@ -514,22 +508,27 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx:nx ~prepass_steps =
      gradient_loop flow (operator ()) ~rows ~chunk ~stride ~nx ~prepass_steps)
   in
   let exact reason =
-    start (Exact reason) (fun () -> exact_operator flow ~nx ~seed tally)
+    start (Exact reason) (fun () ->
+        exact_operator flow ~nx ~seed:(snd seed) tally)
   in
   let realization, (plan, peak) =
     match flow.Flow.screen with
     | Flow.Screen_exact -> exact Screen_exact
     | _ when not (screening_enabled flow) -> exact Faults_armed
-    | _ when Result.is_error (Thermal.Mesh.analytic_blur seed) ->
+    | _ when Result.is_error (Thermal.Mesh.analytic_blur (snd seed)) ->
       exact Non_uniform
     | _ ->
-      (try start Spectral (fun () -> spectral_operator flow ~nx tally ~parity)
-       with Fall_back reason -> exact reason)
+      (try
+         start Spectral (fun () ->
+             spectral_operator flow ~nx ~seed tally ~parity ~check)
+       with Parity_miss -> exact Parity)
   in
   { plan; predicted_peak_k = peak; evaluations = tally.exact_solves;
     blur_evaluations = tally.spectral_applications;
     adjoint_evaluations = tally.adjoint_solves;
     realization = Some realization; spectral_parity_rel = !parity }
+
+let gradient_rows = gradient_rows_checked ~check:spectral_parity
 
 let greedy_rows flow ~rows ?(chunk = 4) ?(stride = 4) ?(coarse_nx = 20)
     ?(leaders = 3) ?(prepass_steps = 8) () =

@@ -31,8 +31,7 @@ type result = {
   predicted_peak_k : float;         (** coarse-mesh peak of the final plan *)
   evaluations : int;
   (** exact CG solves spent: seed, candidate/leader solves, confirms and
-      the final re-score (a characterized blur kernel's impulse solve is
-      traced separately as [thermal.blur.characterize]) *)
+      the final re-score *)
   blur_evaluations : int;
   (** spectral applications: FFT blur screenings under the peak guide,
       transfer applications under the gradient guide's spectral
@@ -44,9 +43,16 @@ type result = {
   (** the gradient guide's operator; [None] under [Guide_peak] *)
   spectral_parity_rel : float option;
   (** relative gap between the spectral and the confirmed peak of the
-      spectral run's final plan; [None] when no spectral run finished
-      its rounds *)
+      spectral run's final plan ({!spectral_parity}); [None] when no
+      spectral run finished its rounds. A run redone on [Exact Parity]
+      keeps the gap that sent it there. *)
 }
+
+val spectral_parity : spectral:float -> exact:float -> float * bool
+(** [(rel, ok)] for a spectral run's final plan: [rel] is
+    [|spectral - exact| / |exact|], 0 when the two are equal (a plan
+    with no power: both 0) and infinite when only [exact] is 0; [ok]
+    holds when [rel <= 1e-6]. A NaN on either side is not [ok]. *)
 
 val greedy_rows :
   Flow.t ->
@@ -72,12 +78,15 @@ val greedy_rows :
     (including sequential).
 
     When the flow's [screen] tier resolves to fft (see
-    {!Flow.screen_choice}), each round solves the first candidate exactly
-    once (the anchor), ranks every candidate by the peak of its blurred
-    power map corrected by the anchor's exact-minus-blurred error field
-    (a control variate — see {!Thermal.Blur.peak}), then runs the exact
-    warm-started solve only for the [leaders] best-ranked candidates
-    (default 3; ties keep candidate order). Anchor and leader solves use
+    {!Flow.screen_choice}) and the mesh stencil has an analytic transfer
+    ({!Thermal.Mesh.analytic_blur}; otherwise — side walls, a perturbed
+    matrix — every round runs the exact tier), each round solves the
+    first candidate exactly once (the anchor), ranks every candidate by
+    the peak of its blurred power map corrected by the anchor's
+    exact-minus-blurred error field (a control variate — see
+    {!Thermal.Blur.peak}), then runs the exact warm-started solve only
+    for the [leaders] best-ranked candidates (default 3; ties keep
+    candidate order). Anchor and leader solves use
     exactly the inputs the exact tier would, so the committed plan is
     bit-identical to [Screen_exact] whenever the leader set contains the
     exact winner. Screening is skipped when a round has no more
@@ -119,3 +128,18 @@ val evaluate_plan : Flow.t -> after:int list -> nx:int -> float
 (** Peak temperature rise (K) of the base placement with the given
     insertion plan applied, on an [nx] x [nx] mesh. Exposed for tests and
     for comparing optimizer output against heuristic ERI. *)
+
+(**/**)
+
+val gradient_rows_checked :
+  check:(spectral:float -> exact:float -> float * bool) ->
+  Flow.t ->
+  rows:int ->
+  chunk:int ->
+  stride:int ->
+  coarse_nx:int ->
+  prepass_steps:int ->
+  result
+(** The gradient guide of {!greedy_rows} with {!spectral_parity}
+    replaced by [check] — a test hook that reaches the fallback to
+    [Exact Parity] without perturbing the operator. *)

@@ -8,14 +8,10 @@
      and the stack's lateral stencil is translation-invariant, so on the
      2n-periodic extension the power->temperature map is a genuine cyclic
      convolution and the FFT diagonalizes it *exactly*;
-   - the kernel spectrum is not the FFT of the characterized response but
-     its *deconvolution* by the impulse that produced it: a 1 W source in
-     corner tile (0,0) extends to deltas at indices 0 and 2n-1 per axis,
-     whose spectrum D(k) = 1 + e^{2 pi i k / 2n} vanishes only at k = n —
-     a mode every even-extended field is identically zero in, so nothing
-     is lost pinning the transfer to zero there. C = R_hat / D_hat is the
-     exact discrete transfer function, and evaluation reproduces full
-     MG-CG solves of the active layer to characterization tolerance;
+   - the kernel spectrum is the stencil's exact discrete transfer,
+     computed from its coefficients (see [of_stencil] below); the
+     kx = nx and ky = ny modes are zero, since no even-extended field
+     has content there;
    - the extension length 2n is even but rarely a power of two; the Fft
      module's Bluestein path handles every length, so no padding beyond
      2n is ever introduced (padding would break the exact cyclicity);
@@ -30,8 +26,9 @@ type t = {
   b_mx : int; (* 2 * nx *)
   b_my : int; (* 2 * ny *)
   b_hx : int; (* nx + 1: stored columns of the half-spectrum *)
-  b_k_re : float array; (* transfer C = R_hat / D_hat, b_hx * b_my *)
-  b_k_im : float array;
+  b_k : float array;
+  (* transfer spectrum, b_hx * b_my; real, since the transfer is
+     symmetric *)
 }
 
 let nx t = t.b_nx
@@ -41,56 +38,6 @@ let extent t = t.b_extent
 (* Even half-sample extension index [e] in [0, 2n) back to the logical
    tile it reflects: [0, n) is the die itself, [n, 2n) its mirror. *)
 let mirror n e = if e < n then e else (2 * n) - 1 - e
-
-let of_response ~response =
-  let nx = Geo.Grid.nx response and ny = Geo.Grid.ny response in
-  if nx < 2 || ny < 2 then invalid_arg "Blur.of_response: grid too small";
-  let mx = 2 * nx and my = 2 * ny in
-  let re = Array.make (mx * my) 0.0 in
-  let im = Array.make (mx * my) 0.0 in
-  for ey = 0 to my - 1 do
-    for ex = 0 to mx - 1 do
-      re.((ey * mx) + ex) <-
-        Geo.Grid.get response ~ix:(mirror nx ex) ~iy:(mirror ny ey)
-    done
-  done;
-  Fft.fft2 ~nx:mx ~ny:my ~re ~im;
-  (* deconvolve by the corner impulse's spectrum, which separates per
-     axis: a delta at tile 0 extends to deltas at indices 0 and m-1, so
-     D(k) = 1 + e^{2 pi i k / m}. It vanishes only at k = m/2 (pinned to
-     zero above); everywhere else the division recovers the exact
-     single-source transfer. *)
-  let axis m h =
-    let d_re = Array.make h 0.0 and d_im = Array.make h 0.0 in
-    for k = 0 to h - 1 do
-      let a = 2.0 *. Float.pi *. float_of_int k /. float_of_int m in
-      d_re.(k) <- 1.0 +. cos a;
-      d_im.(k) <- sin a
-    done;
-    (d_re, d_im)
-  in
-  let hx = nx + 1 in
-  let dx_re, dx_im = axis mx hx in
-  let dy_re, dy_im = axis my my in
-  let k_re = Array.make (hx * my) 0.0 in
-  let k_im = Array.make (hx * my) 0.0 in
-  for kx = 0 to hx - 1 do
-    for ky = 0 to my - 1 do
-      if kx <> nx && ky <> ny then begin
-        let rr = re.((ky * mx) + kx) and ri = im.((ky * mx) + kx) in
-        let dr =
-          (dx_re.(kx) *. dy_re.(ky)) -. (dx_im.(kx) *. dy_im.(ky)) in
-        let di =
-          (dx_re.(kx) *. dy_im.(ky)) +. (dx_im.(kx) *. dy_re.(ky)) in
-        let m2 = (dr *. dr) +. (di *. di) in
-        k_re.((kx * my) + ky) <- ((rr *. dr) +. (ri *. di)) /. m2;
-        k_im.((kx * my) + ky) <- ((ri *. dr) -. (rr *. di)) /. m2
-      end
-    done
-  done;
-  Obs.Metrics.count "thermal.blur.kernels";
-  { b_nx = nx; b_ny = ny; b_extent = Geo.Grid.extent response;
-    b_mx = mx; b_my = my; b_hx = hx; b_k_re = k_re; b_k_im = k_im }
 
 (* --- analytic transfer --------------------------------------------------
 
@@ -107,9 +54,8 @@ let of_response ~response =
 
    and the power-layer transfer is the (zp, zp) entry of its inverse. The
    DCT-II mode extends evenly to DFT modes k and 2n - k of the half-sample
-   extension, so that entry is exactly the (real, symmetric) extended
-   transfer [of_response] recovers by deconvolution — here without any
-   solve. *)
+   extension, so that entry is exactly the (real, symmetric) transfer of
+   the extended cyclic convolution — without any solve. *)
 
 (* Per-layer coefficients read back from a laterally uniform stencil, or
    the first violation found. Couplings must be equal bit for bit (the
@@ -228,20 +174,20 @@ let of_stencil a ~power_layer ~extent =
       1.0 /. (diag_at zp ~lx ~ly -. !below -. !above)
     in
     let mx = 2 * nx and my = 2 * ny and hx = nx + 1 in
-    let k_re = Array.make (hx * my) 0.0 in
-    (* the kx = nx and ky = ny modes stay zero, as in [of_response]: no
-       even-extended field has content there *)
+    let k = Array.make (hx * my) 0.0 in
+    (* the kx = nx and ky = ny modes stay zero: no even-extended field
+       has content there *)
     for kx = 0 to nx - 1 do
       for ky = 0 to ny - 1 do
         let h = transfer ~lx:lx.(kx) ~ly:ly.(ky) in
-        k_re.((kx * my) + ky) <- h;
-        if ky > 0 then k_re.((kx * my) + my - ky) <- h
+        k.((kx * my) + ky) <- h;
+        if ky > 0 then k.((kx * my) + my - ky) <- h
       done
     done;
     Obs.Metrics.count "thermal.blur.kernels";
     Ok
       { b_nx = nx; b_ny = ny; b_extent = extent; b_mx = mx; b_my = my;
-        b_hx = hx; b_k_re = k_re; b_k_im = Array.make (hx * my) 0.0 }
+        b_hx = hx; b_k = k }
 
 (* Apply the transfer to the even-extended [power]; [emit] receives every
    output cell of the logical nx x ny window (extension indices < n). All
@@ -294,10 +240,9 @@ let convolve t ~power ~emit =
     Array.blit g_im off col_im 0 my;
     Fft.fft ~re:col_re ~im:col_im;
     for ky = 0 to my - 1 do
-      let kr = t.b_k_re.(off + ky) and ki = t.b_k_im.(off + ky) in
-      let xr = col_re.(ky) and xi = col_im.(ky) in
-      col_re.(ky) <- (xr *. kr) -. (xi *. ki);
-      col_im.(ky) <- (xr *. ki) +. (xi *. kr)
+      let k = t.b_k.(off + ky) in
+      col_re.(ky) <- col_re.(ky) *. k;
+      col_im.(ky) <- col_im.(ky) *. k
     done;
     Fft.ifft ~re:col_re ~im:col_im;
     Array.blit col_re 0 g_re off my;

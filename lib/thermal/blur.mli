@@ -5,30 +5,21 @@
     the network's point-source response, so every candidate power map
     costs a single O(n log n) FFT pass instead of an iterative solve.
 
-    The kernel comes from one of two places:
-
-    - {!of_stencil} computes it analytically. When the assembled stencil
-      is laterally uniform (one coupling per layer and axis, one sink per
-      layer, adiabatic side walls), the product DCT in x and y
-      diagonalizes the operator and each mode (kx, ky) leaves a
-      tridiagonal system in z whose inverse's power-layer entry is the
-      transfer — one small elimination per mode, no solve. The same scan
-      verifies the uniformity it relies on and reports the first
-      violation.
-    - {!of_response} deconvolves a characterized impulse response (one
-      full MG-CG solve; see {!Mesh.blur}), the fallback for stencils the
-      check rejects.
+    {!of_stencil} computes the kernel analytically. When the assembled
+    stencil is laterally uniform (one coupling per layer and axis, one
+    sink per layer, adiabatic side walls), the product DCT in x and y
+    diagonalizes the operator and each mode (kx, ky) leaves a
+    tridiagonal system in z whose inverse's power-layer entry is the
+    transfer — one small elimination per mode, no solve. The same scan
+    verifies the uniformity it relies on and reports the first
+    violation.
 
     With adiabatic walls ([h_side_w_m2k = 0] — Neumann BC via
     half-sample reflection) the power-to-temperature map is a true cyclic
-    convolution on the 2n-periodic even extension of the die, so both
-    kernels are exact for the discrete operator: the analytic one to
-    rounding, the characterized one to its solve tolerance. With non-zero
-    side-wall conductance the boundary breaks translation invariance,
-    {!of_stencil} refuses, and a characterized kernel's evaluations
-    degrade to estimates; rank-then-re-score (what
-    [Optimizer.greedy_rows] does under the fft screen tier) keeps
-    committed plans exact either way.
+    convolution on the 2n-periodic even extension of the die, so the
+    kernel is exact for the discrete operator to rounding. Non-zero
+    side-wall conductance breaks translation invariance: {!of_stencil}
+    refuses, and callers solve exactly instead.
 
     Evaluation uses a Hermitian half-spectrum pipeline on the 2nx x 2ny
     extension: rows are transformed two at a time as one complex FFT,
@@ -42,14 +33,6 @@
 
 type t
 
-val of_response : response:Geo.Grid.t -> t
-(** Characterize the spectral transfer from the active-layer response to
-    a unit (1 W) impulse injected at tile (0, 0) of the same grid. The
-    response's FFT is divided by the corner impulse's analytic spectrum
-    (zero only on modes every even-extended field lacks), and the result
-    is stored transformed — the only FFT-of-the-kernel ever paid. Raises
-    [Invalid_argument] on grids smaller than 2x2. *)
-
 val of_stencil :
   Stencil.t -> power_layer:int -> extent:Geo.Rect.t -> (t, string) result
 (** The analytic transfer of a laterally uniform stencil to and from
@@ -58,18 +41,18 @@ val of_stencil :
     differs from its layer's (an armed [Perturb_matrix] fault), a
     diagonal that is not its couplings plus the layer's sink up to the
     rounding of the sums (non-zero side walls), or a non-positive
-    diagonal. The kx = nx and ky = ny modes are zero, as in
-    {!of_response}. Traced as [thermal.blur.analytic]; counts
-    [thermal.blur.kernels] like {!of_response}. Raises
-    [Invalid_argument] when [power_layer] is not a layer. *)
+    diagonal. The kx = nx and ky = ny modes are zero: no even-extended
+    field has content there. Traced as [thermal.blur.analytic]; counts
+    [thermal.blur.kernels]. Raises [Invalid_argument] when
+    [power_layer] is not a layer. *)
 
 val nx : t -> int
 val ny : t -> int
 val extent : t -> Geo.Rect.t
 
 val field : t -> power:Geo.Grid.t -> Geo.Grid.t
-(** Temperature-rise field for [power] (same dims as the characterized
-    grid, checked). One extended FFT convolution, traced as the
+(** Temperature-rise field for [power] (same dims as the kernel's grid,
+    checked). One extended FFT convolution, traced as the
     [thermal.blur.eval] span. *)
 
 val peak : ?correction:Geo.Grid.t -> t -> power:Geo.Grid.t -> float
@@ -78,6 +61,6 @@ val peak : ?correction:Geo.Grid.t -> t -> power:Geo.Grid.t -> float
     [field + correction] instead: pass the exact-minus-blurred error
     field of a reference power map to screen with a control variate.
     The transfer is linear in the power map, so a corrected estimate
-    errs only by the model error of the *difference* from the reference
-    — zero when the transfer is exact, and still small under non-zero
-    side-wall conductance. *)
+    errs only by the model error of the *difference* from the reference,
+    and carries the reference solve's own error (its tolerance) like
+    every other solve at that tolerance. *)

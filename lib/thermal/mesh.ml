@@ -21,10 +21,6 @@ type problem = {
   p_analytic : (Blur.t, string) result option ref;
   (* lazily computed analytic transfer (or the reason the stencil has
      none), shared across the cache entry like the hierarchy *)
-  p_blur : Blur.t option ref;
-  (* lazily characterized power-blurring kernel (unit-impulse response)
-     for stencils without an analytic transfer, shared the same way so
-     screening pays characterization once per (config, extent) *)
 }
 
 let matrix p = p.p_matrix
@@ -33,8 +29,8 @@ let config p = p.p_config
 let extent p = p.p_extent
 
 (* Same cached matrix (and MG hierarchy / blur kernel riding the cache
-   entry), different right-hand side — the adjoint solve and the blur
-   characterization both inject custom sources into the same operator. *)
+   entry), different right-hand side — the adjoint solve injects its
+   source into the same operator. *)
 let with_rhs p rhs =
   if Array.length rhs <> Array.length p.p_rhs then
     invalid_arg "Mesh.with_rhs: rhs dimension mismatch";
@@ -150,16 +146,15 @@ type cache_entry = {
   ce_cold_iters : int option ref;
   ce_mg : Multigrid.t option ref;
   ce_analytic : (Blur.t, string) result option ref;
-  ce_blur : Blur.t option ref;
 }
 
 let fresh_entry matrix =
   { ce_matrix = matrix; ce_cold_iters = ref None; ce_mg = ref None;
-    ce_analytic = ref None; ce_blur = ref None }
+    ce_analytic = ref None }
 
 (* 8 slots cover the optimizer (one extent per inserted-row count) plus
    a package sweep; an entry also carries the MG hierarchy and the blur
-   kernel, both expensive to recharacterize after a thrash. *)
+   kernel, both worth keeping across a thrash. *)
 let cache_capacity = 8
 let cache_mutex = Mutex.create ()
 let cache_entries : ((config * Geo.Rect.t) * cache_entry) list ref = ref []
@@ -257,8 +252,7 @@ let build ?(cache = true) cfg ~power =
       rhs.(node_index cfg ~ix ~iy ~iz:zp) <- w);
   { p_config = cfg; p_extent = extent; p_matrix = entry.ce_matrix;
     p_rhs = rhs; p_cold_iters = entry.ce_cold_iters;
-    p_mg = entry.ce_mg; p_analytic = entry.ce_analytic;
-    p_blur = entry.ce_blur }
+    p_mg = entry.ce_mg; p_analytic = entry.ce_analytic }
 
 let multigrid p =
   match !(p.p_mg) with
@@ -343,13 +337,6 @@ let layer_grid s ~iz =
 let active_layer_grid s =
   layer_grid s ~iz:s.config.stack.Stack.power_layer
 
-(* Characterization tolerance: the transfer deconvolved from this solve
-   is *exact* for the discrete operator (the lateral stencil is
-   translation-invariant with adiabatic walls), so solver error is the
-   only error screening estimates inherit — solve the impulse tight and
-   the kernel repays it across thousands of evaluations. *)
-let blur_tol = 1e-10
-
 let fits cfg b = Blur.nx b = cfg.nx && Blur.ny b = cfg.ny
 
 let analytic_blur p =
@@ -365,31 +352,8 @@ let analytic_blur p =
     p.p_analytic := Some r;
     r
 
-let blur ?(precond = Pc_mg) p =
-  let cfg = p.p_config in
-  match analytic_blur p, !(p.p_blur) with
-  | Ok b, _ -> b
-  | Error _, Some b when fits cfg b -> b
-  | Error _, _ ->
-    Obs.Trace.with_span "thermal.blur.characterize" @@ fun () ->
-    let n = Array.length p.p_rhs in
-    let rhs = Array.make n 0.0 in
-    (* corner tile: its extension images sit at indices 0 and 2n-1 per
-       axis, whose spectrum never vanishes on an informative mode — see
-       Blur.of_response. (A center impulse would zero out near half the
-       spectrum and make the deconvolution singular.) *)
-    rhs.(node_index cfg ~ix:0 ~iy:0 ~iz:cfg.stack.Stack.power_layer) <- 1.0;
-    let ip = { p with p_rhs = rhs } in
-    (* the explicit zero x0 is numerically a cold start but keeps the
-       impulse solve out of the warm-start bookkeeping: its iteration
-       count must not become the cache entry's cold baseline *)
-    let solution =
-      solve ~tol:blur_tol ~precond:(precond_of_choice ip precond)
-        ~x0:(Array.make n 0.0) ip
-    in
-    let b = Blur.of_response ~response:(active_layer_grid solution) in
-    (* benign race, same policy as [multigrid]: concurrent characterizers
-       derive the kernel from the same matrix, so the last write wins and
-       either kernel is valid *)
-    p.p_blur := Some b;
-    b
+(* [precond] is accepted and unused: the transfer needs no solve *)
+let blur ?precond:_ p =
+  match analytic_blur p with
+  | Ok b -> b
+  | Error reason -> invalid_arg ("Mesh.blur: " ^ reason)

@@ -142,9 +142,7 @@ val analytic_blur : problem -> (Blur.t, string) result
 
 val blur : ?precond:precond_choice -> problem -> Blur.t
 (** The power-blurring screening kernel for this problem's mesh: the
-    {!analytic_blur} transfer when the matrix has one. Otherwise the
-    active-layer response to a 1 W impulse at corner tile (0, 0), solved
-    cold at the characterization tolerance 1e-10 with the chosen
-    preconditioner (default [Pc_mg]) and characterized by
-    {!Blur.of_response}, traced as [thermal.blur.characterize] and
-    cached on the problem's MRU entry like the analytic kernel. *)
+    {!analytic_blur} transfer. Raises [Invalid_argument] naming the
+    reason when the matrix has none; callers that may meet such a mesh
+    check {!analytic_blur} first and solve exactly instead. [precond] is
+    accepted and ignored: building the kernel runs no solve. *)

@@ -495,6 +495,39 @@ let test_optimizer_fft_screening_parity () =
     (ff.Postplace.Optimizer.evaluations
      < ex.Postplace.Optimizer.evaluations)
 
+let test_optimizer_side_walls_run_exact () =
+  let fl = Lazy.force flow in
+  Parallel.Pool.set_jobs 1;
+  (* side walls leave the stencil without an analytic transfer, so even
+     the fft tier has nothing to screen with and solves every candidate:
+     the run is the exact tier's, bit for bit *)
+  let fl =
+    { fl with
+      Postplace.Flow.mesh_config =
+        { fl.Postplace.Flow.mesh_config with
+          Thermal.Mesh.stack =
+            { Thermal.Stack.default_9layer with
+              Thermal.Stack.h_side_w_m2k = 2e4 } } }
+  in
+  let run screen =
+    Thermal.Mesh.cache_clear ();
+    Postplace.Optimizer.greedy_rows
+      { fl with Postplace.Flow.screen }
+      ~rows:4 ~chunk:2 ~stride:2 ~coarse_nx:16 ()
+  in
+  let ex = run Postplace.Flow.Screen_exact in
+  let ff = run Postplace.Flow.Screen_fft in
+  Alcotest.(check int) "no blur screening" 0
+    ff.Postplace.Optimizer.blur_evaluations;
+  Alcotest.(check int) "exact tier's solve count"
+    ex.Postplace.Optimizer.evaluations ff.Postplace.Optimizer.evaluations;
+  Alcotest.(check (list int)) "exact tier's plan"
+    ex.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
+    ff.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
+  Alcotest.(check bool) "exact tier's peak bits" true
+    (Int64.bits_of_float ex.Postplace.Optimizer.predicted_peak_k
+     = Int64.bits_of_float ff.Postplace.Optimizer.predicted_peak_k)
+
 let test_optimizer_fault_forces_exact_tier () =
   let fl = Lazy.force flow in
   Parallel.Pool.set_jobs 1;
@@ -583,29 +616,44 @@ let with_jobs n f =
 
 let test_gradient_guide_parallel_identical () =
   let fl = Lazy.force flow in
-  let run jobs =
-    Thermal.Mesh.cache_clear ();
-    with_jobs jobs (fun () ->
-        Postplace.Optimizer.greedy_rows
-          { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient }
-          ~rows:3 ~chunk:2 ~stride:3 ~coarse_nx:16 ())
-  in
-  let seq = run 1 in
-  Alcotest.(check bool) "spectral realization" true
-    (seq.Postplace.Optimizer.realization = Some Postplace.Optimizer.Spectral);
+  (* both realizations: the exact one's candidate pricing and the
+     spectral one's transfer applications run on the pool *)
   List.iter
-    (fun jobs ->
-      let par = run jobs in
-      Alcotest.(check (list int))
-        (Printf.sprintf "same plan with %d domains" jobs)
-        seq.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
-        par.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
-      Alcotest.(check bool)
-        (Printf.sprintf "same predicted peak with %d domains" jobs)
-        true
-        (seq.Postplace.Optimizer.predicted_peak_k
-         = par.Postplace.Optimizer.predicted_peak_k))
-    [ 2; 3; 4 ]
+    (fun (screen, realization) ->
+       let run jobs =
+         Thermal.Mesh.cache_clear ();
+         with_jobs jobs (fun () ->
+             Postplace.Optimizer.greedy_rows
+               { fl with
+                 Postplace.Flow.guide = Postplace.Flow.Guide_gradient;
+                 screen }
+               ~rows:3 ~chunk:2 ~stride:3 ~coarse_nx:16 ())
+       in
+       let seq = run 1 in
+       let name = Postplace.Optimizer.realization_name realization in
+       Alcotest.(check bool) (name ^ " realization") true
+         (seq.Postplace.Optimizer.realization = Some realization);
+       List.iter
+         (fun jobs ->
+            let par = run jobs in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s realization with %d domains" name jobs)
+              true
+              (par.Postplace.Optimizer.realization = Some realization);
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: same plan with %d domains" name jobs)
+              seq.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
+              par.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: same predicted peak with %d domains" name
+                 jobs)
+              true
+              (seq.Postplace.Optimizer.predicted_peak_k
+               = par.Postplace.Optimizer.predicted_peak_k))
+         [ 2; 3; 4 ])
+    Postplace.Optimizer.
+      [ (Postplace.Flow.Screen_exact, Exact Screen_exact);
+        (Postplace.Flow.Screen_auto, Spectral) ]
 
 let gradient ?(stack = None) ?fault screen =
   let fl = Lazy.force flow in
@@ -704,6 +752,74 @@ let test_perturbed_matrix_is_non_uniform () =
   Alcotest.(check (option int)) "never spectral" None
     (Obs.Metrics.counter_value "optimizer.realization"
        ~labels:[ ("realization", "spectral"); ("reason", "uniform") ])
+
+let test_spectral_parity_decision () =
+  let parity spectral exact =
+    Postplace.Optimizer.spectral_parity ~spectral ~exact
+  in
+  let check what (rel, ok) (rel', ok') =
+    Alcotest.(check bool) (what ^ ": verdict") ok' ok;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: rel %g, expected %g" what rel rel')
+      true
+      (rel = rel' || Float.abs (rel -. rel') <= 1e-9 *. rel')
+  in
+  check "identical" (parity 2.5 2.5) (0.0, true);
+  (* a plan with no power: both sides 0, no 0/0 *)
+  check "both zero" (parity 0.0 0.0) (0.0, true);
+  check "only exact zero" (parity 1e-3 0.0) (infinity, false);
+  check "inside" (parity (1.0 +. 5e-7) 1.0) (5e-7, true);
+  check "outside" (parity (1.0 -. 2e-6) 1.0) (2e-6, false);
+  Alcotest.(check bool) "nan spectral fails" false
+    (snd (parity Float.nan 1.0));
+  Alcotest.(check bool) "nan exact fails" false (snd (parity 1.0 Float.nan))
+
+let test_parity_fallback_bookkeeping () =
+  let fl =
+    { (Lazy.force flow) with
+      Postplace.Flow.guide = Postplace.Flow.Guide_gradient;
+      screen = Postplace.Flow.Screen_auto }
+  in
+  let ex = gradient Postplace.Flow.Screen_exact in
+  Thermal.Mesh.cache_clear ();
+  Obs.Metrics.reset ();
+  let seen = ref None in
+  let r =
+    Postplace.Optimizer.gradient_rows_checked
+      ~check:(fun ~spectral ~exact ->
+          seen := Some (spectral, exact);
+          (0.5, false))
+      fl ~rows:4 ~chunk:2 ~stride:2 ~coarse_nx:16 ~prepass_steps:8
+  in
+  check_realization "redone on exact" Postplace.Optimizer.(Exact Parity) r;
+  (match !seen with
+   | Some (spectral, exact) ->
+     let pe = ex.Postplace.Optimizer.predicted_peak_k in
+     Alcotest.(check bool) "the check saw both peaks of the spectral plan"
+       true
+       (Float.abs (spectral -. pe) <= 1e-9 *. pe
+        && Float.abs (exact -. pe) <= 1e-9 *. pe)
+   | None -> Alcotest.fail "parity never checked");
+  (* the exact rerun is the Screen_exact run, bit for bit *)
+  Alcotest.(check (list int)) "plan" (plan ex) (plan r);
+  Alcotest.(check bool) "peak bits" true
+    (Int64.bits_of_float ex.Postplace.Optimizer.predicted_peak_k
+     = Int64.bits_of_float r.Postplace.Optimizer.predicted_peak_k);
+  (* the abandoned spectral attempt's work stays counted: its confirm and
+     five transfer applications, on top of the exact run's 4 + 2 *)
+  Alcotest.(check (list int)) "counters across both attempts" [ 5; 2; 5 ]
+    Postplace.Optimizer.
+      [ r.evaluations; r.adjoint_evaluations; r.blur_evaluations ];
+  Alcotest.(check bool) "the gap that forced the rerun is kept" true
+    (r.Postplace.Optimizer.spectral_parity_rel = Some 0.5);
+  List.iter
+    (fun (labels, n) ->
+       Alcotest.(check (option int))
+         (String.concat "," (List.map snd labels))
+         (Some n)
+         (Obs.Metrics.counter_value "optimizer.realization" ~labels))
+    [ ([ ("realization", "spectral"); ("reason", "uniform") ], 1);
+      ([ ("realization", "exact"); ("reason", "parity") ], 1) ]
 
 (* --- parallel determinism --------------------------------------------------------- *)
 
@@ -935,7 +1051,9 @@ let () =
          Alcotest.test_case "fft screening parity" `Quick
            test_optimizer_fft_screening_parity;
          Alcotest.test_case "faults force the exact tier" `Quick
-           test_optimizer_fault_forces_exact_tier ]);
+           test_optimizer_fault_forces_exact_tier;
+         Alcotest.test_case "side walls run the exact tier" `Quick
+           test_optimizer_side_walls_run_exact ]);
       ("gradient-guide",
        [ Alcotest.test_case "flow sensitivity smoke" `Quick
            test_flow_sensitivity_smoke;
@@ -950,7 +1068,11 @@ let () =
          Alcotest.test_case "realization fallbacks" `Quick
            test_realization_fallbacks;
          Alcotest.test_case "perturbed matrix is non-uniform" `Quick
-           test_perturbed_matrix_is_non_uniform ]);
+           test_perturbed_matrix_is_non_uniform;
+         Alcotest.test_case "spectral parity decision" `Quick
+           test_spectral_parity_decision;
+         Alcotest.test_case "parity fallback bookkeeping" `Quick
+           test_parity_fallback_bookkeeping ]);
       ("experiment",
        [ Alcotest.test_case "fig6 parallel identical" `Quick
            test_fig6_parallel_identical ]);

@@ -1323,9 +1323,9 @@ let point_power sources =
 
 let test_blur_reproduces_impulse_response () =
   Thermal.Mesh.cache_clear ();
-  (* a 1 W delta far from the characterization corner: the deconvolved
-     transfer is exact for the discrete operator, so the blurred field
-     must match a full solve to characterization tolerance *)
+  (* a 1 W delta in the die's interior: the analytic transfer is exact
+     for the discrete operator, so the blurred field must match a full
+     solve to the solve's tolerance *)
   let power = point_power [ (12, 12, 1.0) ] in
   let problem = Thermal.Mesh.build blur_cfg ~power in
   let kernel = Thermal.Mesh.blur problem in
@@ -1396,11 +1396,30 @@ let test_blur_kernel_cached () =
   let power = point_power [ (12, 12, 1.0) ] in
   let p1 = Thermal.Mesh.build blur_cfg ~power in
   let k1 = Thermal.Mesh.blur p1 in
-  (* a cache-hitting rebuild hands back the same characterized kernel *)
+  (* a cache-hitting rebuild hands back the same analytic kernel *)
   let p2 = Thermal.Mesh.build blur_cfg ~power in
   let k2 = Thermal.Mesh.blur p2 in
   Alcotest.(check bool) "kernel physically shared via the mesh cache" true
     (k1 == k2)
+
+let test_blur_refuses_side_walls () =
+  Thermal.Mesh.cache_clear ();
+  (* side walls break translation invariance: there is no transfer to
+     screen with, and asking for one is an error rather than an
+     estimate *)
+  let cfg =
+    { blur_cfg with
+      Thermal.Mesh.stack =
+        { Thermal.Stack.default_9layer with Thermal.Stack.h_side_w_m2k = 2e4 }
+    }
+  in
+  let problem = Thermal.Mesh.build cfg ~power:(point_power [ (12, 12, 1.0) ]) in
+  (match Thermal.Mesh.analytic_blur problem with
+   | Ok _ -> Alcotest.fail "side-walled stencil reported uniform"
+   | Error _ -> ());
+  match Thermal.Mesh.blur problem with
+  | _ -> Alcotest.fail "side-walled mesh produced a kernel"
+  | exception Invalid_argument _ -> ()
 
 let test_mesh_cache_capacity () =
   Obs.Metrics.set_enabled true;
@@ -1526,7 +1545,9 @@ let () =
          Alcotest.test_case "kernel cached on mesh entry" `Quick
            test_blur_kernel_cached;
          Alcotest.test_case "cache capacity and eviction" `Quick
-           test_mesh_cache_capacity ]);
+           test_mesh_cache_capacity;
+         Alcotest.test_case "refuses side walls" `Quick
+           test_blur_refuses_side_walls ]);
       ("spice",
        [ Alcotest.test_case "round trip" `Quick test_spice_roundtrip;
          Alcotest.test_case "element counts" `Quick test_spice_counts ]);
